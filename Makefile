@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-report lint-fix-audit sanitize fuzz bench bench-ci bench-smoke shard-smoke obs-smoke obs-live-smoke trim-smoke stream-smoke ci
+.PHONY: build test race vet fmt-check lint lint-report lint-fix-audit sanitize fuzz bench bench-ci bench-smoke shard-smoke obs-smoke obs-live-smoke trim-smoke stream-smoke ci
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails, listing the files, when any Go file is not gofmt-clean.
+fmt-check:
+	@files="$$(gofmt -l .)"; if [ -n "$$files" ]; then \
+		echo "gofmt needed on:"; echo "$$files"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -173,4 +178,4 @@ obs-live-smoke: bin/ftlsim bin/tracegen bin/obsvalidate
 	cmp /tmp/obs-live.off.txt /tmp/obs-live.on.txt
 	rm -f /tmp/obs-live.csv /tmp/obs-live.ftr /tmp/obs-live.*.txt /tmp/obs-live.*.prom
 
-ci: vet lint lint-report race sanitize bench-smoke shard-smoke stream-smoke bench-ci obs-smoke obs-live-smoke trim-smoke
+ci: fmt-check vet lint lint-report race sanitize bench-smoke shard-smoke stream-smoke bench-ci obs-smoke obs-live-smoke trim-smoke

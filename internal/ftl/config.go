@@ -204,6 +204,8 @@ func (c Config) LogicalPages() int64 {
 func (c Config) Validate() error {
 	c = c.normalize()
 	switch {
+	case c.PageSize < EntryBytesInFlash:
+		return errf("page size %d below one %d-byte mapping entry", c.PageSize, EntryBytesInFlash)
 	case c.LogicalBytes <= 0:
 		return errf("non-positive logical capacity %d", c.LogicalBytes)
 	case c.LogicalBytes%int64(c.PageSize) != 0:

@@ -34,9 +34,8 @@ type Device struct {
 	numTPs       int
 	logicalPages int64
 
-	gtd     []flash.PPN // VTPN → physical translation page
-	persist []flash.PPN // LPN → PPN as stored in flash translation pages
-	truth   []flash.PPN // LPN → PPN ground truth (updated at write time)
+	gtd []flash.PPN // VTPN → physical translation page
+	sh  shadow      // truth and persisted view of the mapping (verification)
 
 	tpBuf []flash.PPN // scratch returned by ReadTP
 
@@ -116,8 +115,7 @@ func NewDevice(cfg Config, tr Translator) (*Device, error) {
 		numTPs:       numTPs,
 		logicalPages: logicalPages,
 		gtd:          make([]flash.PPN, numTPs),
-		persist:      make([]flash.PPN, logicalPages),
-		truth:        make([]flash.PPN, logicalPages),
+		sh:           newShadow(logicalPages, entriesPerTP),
 		tpBuf:        make([]flash.PPN, entriesPerTP),
 		sched:        ssd.NewScheduler(cfg.Channels, cfg.Dies),
 	}
@@ -131,10 +129,6 @@ func NewDevice(cfg Config, tr Translator) (*Device, error) {
 	}
 	for i := range d.gtd {
 		d.gtd[i] = flash.InvalidPPN
-	}
-	for i := range d.persist {
-		d.persist[i] = flash.InvalidPPN
-		d.truth[i] = flash.InvalidPPN
 	}
 	return d, nil
 }
@@ -338,8 +332,8 @@ func (d *Device) Format() error {
 		if _, err := d.chipProgram(ppn, flash.Meta{Kind: flash.KindData, Tag: lpn, Seq: d.nextSeq()}); err != nil {
 			return err
 		}
-		d.truth[lpn] = ppn
-		d.persist[lpn] = ppn
+		d.sh.setTruth(LPN(lpn), ppn)
+		d.sh.setPersist(LPN(lpn), ppn)
 	}
 	for v := 0; v < d.numTPs; v++ {
 		ppn, err := d.bm.alloc(blockTrans)
@@ -387,7 +381,7 @@ func (d *Device) PreconditionRange(writes int, pages int64, seed int64) error {
 		if err := d.maybeGC(); err != nil {
 			return err
 		}
-		old := d.truth[lpn]
+		old := d.sh.truth[lpn]
 		ppn, err := d.bm.alloc(blockData)
 		if err != nil {
 			return err
@@ -400,8 +394,8 @@ func (d *Device) PreconditionRange(writes int, pages int64, seed int64) error {
 				return err
 			}
 		}
-		d.truth[lpn] = ppn
-		d.persist[lpn] = ppn
+		d.sh.setTruth(lpn, ppn)
+		d.sh.setPersist(lpn, ppn)
 	}
 	return nil
 }
@@ -583,9 +577,9 @@ func (d *Device) readPage(lpn LPN) error {
 	if err != nil {
 		return err
 	}
-	if ppn != d.truth[lpn] {
+	if ppn != d.sh.truth[lpn] {
 		return errf("%s mistranslated read of lpn %d: got ppn %d, truth %d",
-			d.tr.Name(), lpn, ppn, d.truth[lpn])
+			d.tr.Name(), lpn, ppn, d.sh.truth[lpn])
 	}
 	if !ppn.Valid() {
 		d.m.UnmappedReads++
@@ -607,16 +601,16 @@ func (d *Device) writePage(lpn LPN) error {
 	if err != nil {
 		return err
 	}
-	if old != d.truth[lpn] {
+	if old != d.sh.truth[lpn] {
 		return errf("%s mistranslated write of lpn %d: got ppn %d, truth %d",
-			d.tr.Name(), lpn, old, d.truth[lpn])
+			d.tr.Name(), lpn, old, d.sh.truth[lpn])
 	}
 	if err := d.maybeGC(); err != nil {
 		return err
 	}
 	// GC may just have migrated this page; invalidate its current
 	// location, not the pre-GC one returned by the translator.
-	old = d.truth[lpn]
+	old = d.sh.truth[lpn]
 	ppn, err := d.bm.alloc(blockData)
 	if err != nil {
 		return err
@@ -633,7 +627,7 @@ func (d *Device) writePage(lpn LPN) error {
 			return err
 		}
 	}
-	d.truth[lpn] = ppn
+	d.sh.setTruth(lpn, ppn)
 	return d.tr.Update(d, lpn, ppn)
 }
 
@@ -720,14 +714,14 @@ func (d *Device) trimTP(v VTPN, lo, hi LPN) error {
 		}
 	}
 	d.gtd[v] = ppn
-	d.foldTPPersist(v)
+	d.sh.fold(v)
 	for lpn := lo; lpn <= hi; lpn++ {
-		d.persist[lpn] = flash.InvalidPPN
-		if t := d.truth[lpn]; t.Valid() {
+		d.sh.setPersist(lpn, flash.InvalidPPN)
+		if t := d.sh.truth[lpn]; t.Valid() {
 			if err := d.bm.invalidate(t); err != nil {
 				return err
 			}
-			d.truth[lpn] = flash.InvalidPPN
+			d.sh.setTruth(lpn, flash.InvalidPPN)
 			d.m.TrimmedPages++
 		}
 	}
@@ -751,26 +745,6 @@ func (d *Device) flushMapping() error {
 		d.m.FlushStalls++
 	}
 	return nil
-}
-
-// foldTPPersist folds ground truth into the persisted view of translation
-// page v: every slot whose persisted entry is unmapped while the live
-// mapping is valid takes the live value. Called whenever a new physical
-// copy of v is programmed (WriteTP, trim rewrite, GC migration) — the
-// rewrite opportunistically persists mappings whose writeback was still
-// pending. This keeps recovery's trim rule sound: after any translation
-// page program, a persisted-unmapped slot implies the page really is
-// unmapped, so "translation page newer than data page + slot unmapped"
-// can only mean a durable discard. On a device that never trims, persisted
-// entries are never unmapped after Format and this is a no-op.
-func (d *Device) foldTPPersist(v VTPN) {
-	lo := int64(v) * int64(d.entriesPerTP)
-	hi := min64(lo+int64(d.entriesPerTP), d.logicalPages)
-	for lpn := lo; lpn < hi; lpn++ {
-		if d.persist[lpn] == flash.InvalidPPN && d.truth[lpn].Valid() {
-			d.persist[lpn] = d.truth[lpn]
-		}
-	}
 }
 
 // issuePage charges one completed flash operation on p's die to the
@@ -882,8 +856,7 @@ func (d *Device) ReadTP(v VTPN) ([]flash.PPN, error) {
 			}
 		}
 	}
-	lo := int64(v) * int64(d.entriesPerTP)
-	n := copy(d.tpBuf, d.persist[lo:min64(lo+int64(d.entriesPerTP), d.logicalPages)])
+	n := copy(d.tpBuf, d.sh.persistedTP(v))
 	for i := n; i < d.entriesPerTP; i++ {
 		d.tpBuf[i] = flash.InvalidPPN
 	}
@@ -897,25 +870,29 @@ func (d *Device) WriteTP(v VTPN, updates []EntryUpdate, fullPage bool) error {
 	if v < 0 || int(v) >= d.numTPs {
 		return errf("WriteTP: vtpn %d out of range [0,%d)", v, d.numTPs)
 	}
-	// Apply the content updates before anything that can trigger GC: a GC
-	// run below may itself update this page's persisted entries with
-	// fresher values (migrated data pages), which must not be overwritten
-	// by the caller's older snapshot afterwards.
+	// Validate every update before applying any: a bad one must leave the
+	// persisted view untouched, or recovery's trim rule would read content
+	// no program ever wrote.
 	base := int64(v) * int64(d.entriesPerTP)
 	for _, u := range updates {
 		if u.Off < 0 || u.Off >= d.entriesPerTP {
 			return errf("WriteTP: offset %d out of range", u.Off)
 		}
-		lpn := base + int64(u.Off)
-		if lpn >= d.logicalPages {
+		if base+int64(u.Off) >= d.logicalPages {
 			return errf("WriteTP: update beyond logical space (vtpn %d off %d)", v, u.Off)
 		}
-		d.persist[lpn] = u.PPN
+	}
+	// Apply the content updates before anything that can trigger GC: a GC
+	// run below may itself update this page's persisted entries with
+	// fresher values (migrated data pages), which must not be overwritten
+	// by the caller's older snapshot afterwards.
+	for _, u := range updates {
+		d.sh.setPersist(LPN(base+int64(u.Off)), u.PPN)
 	}
 	// The fresh physical copy opportunistically persists any mapping whose
-	// writeback was still pending (see foldTPPersist); unmapped slots after
+	// writeback was still pending (see shadow.fold); unmapped slots after
 	// this point are durable discards.
-	d.foldTPPersist(v)
+	d.sh.fold(v)
 	if err := d.maybeGC(); err != nil {
 		return err
 	}
@@ -1016,10 +993,10 @@ func (d *Device) nextSeq() int64 {
 // --- Verification helpers (tests) ----------------------------------------
 
 // Truth returns the ground-truth PPN for lpn.
-func (d *Device) Truth(lpn LPN) flash.PPN { return d.truth[lpn] }
+func (d *Device) Truth(lpn LPN) flash.PPN { return d.sh.truth[lpn] }
 
 // Persisted returns the PPN recorded in flash translation pages for lpn.
-func (d *Device) Persisted(lpn LPN) flash.PPN { return d.persist[lpn] }
+func (d *Device) Persisted(lpn LPN) flash.PPN { return d.sh.persist[lpn] }
 
 // GTDEntry returns the physical page of translation page v.
 func (d *Device) GTDEntry(v VTPN) flash.PPN { return d.gtd[v] }
@@ -1047,7 +1024,8 @@ func (d *Device) EraseSpread() (min, max int) {
 // CheckConsistency validates the device-wide invariants: chip bookkeeping,
 // GTD pointing at valid translation pages, and — given the set of
 // dirty-cached LPNs from the translator — the truth/persist relationship:
-// truth differs from persist exactly for LPNs with a dirty cached entry.
+// truth differs from persist exactly for LPNs with a dirty cached entry. The
+// shadow's pending bitmap is recounted against its predicate on every call.
 func (d *Device) CheckConsistency(dirtyCached map[LPN]flash.PPN) error {
 	if err := d.chip.CheckInvariants(); err != nil {
 		return err
@@ -1063,28 +1041,7 @@ func (d *Device) CheckConsistency(dirtyCached map[LPN]flash.PPN) error {
 			return errf("gtd[%d] = %d has meta %+v", v, ppn, m)
 		}
 	}
-	for lpn := int64(0); lpn < d.logicalPages; lpn++ {
-		t, p := d.truth[lpn], d.persist[lpn]
-		if t.Valid() {
-			if st := d.chip.State(t); st != flash.PageValid {
-				return errf("truth[%d] = %d in state %v", lpn, t, st)
-			}
-			if m := d.chip.MetaOf(t); m.Kind != flash.KindData || m.Tag != lpn {
-				return errf("truth[%d] = %d has meta %+v", lpn, t, m)
-			}
-		}
-		if dirtyCached == nil {
-			continue
-		}
-		dirtyPPN, dirty := dirtyCached[LPN(lpn)]
-		if dirty && dirtyPPN != t {
-			return errf("dirty cache entry for lpn %d holds %d, truth %d", lpn, dirtyPPN, t)
-		}
-		if t != p && !dirty {
-			return errf("lpn %d: truth %d != persist %d with no dirty cache entry", lpn, t, p)
-		}
-	}
-	return nil
+	return d.sh.check(d.chip, dirtyCached)
 }
 
 func min64(a, b int64) int64 {

@@ -24,7 +24,7 @@ func testConfig() ftl.Config {
 	}
 }
 
-func newOptimalDevice(t *testing.T, cfg ftl.Config) (*ftl.Device, *optimal.FTL) {
+func newOptimalDevice(t testing.TB, cfg ftl.Config) (*ftl.Device, *optimal.FTL) {
 	t.Helper()
 	tr := optimal.New(cfg.LogicalPages())
 	d, err := ftl.NewDevice(cfg, tr)
@@ -82,6 +82,11 @@ func TestConfigValidation(t *testing.T) {
 		{LogicalBytes: 4097}, // not page aligned
 		{LogicalBytes: 16 << 20, OverProvision: -0.1},
 		{LogicalBytes: 16 << 20, CacheBytes: -1},
+		// Pages smaller than one 4-byte mapping entry hold no entries.
+		{LogicalBytes: 16 << 20, PageSize: 1},
+		{LogicalBytes: 16 << 20, PageSize: 2},
+		{LogicalBytes: 16 << 20, PageSize: 3},
+		{LogicalBytes: 16 << 20, PageSize: -4096},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -90,6 +95,20 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := ftl.NewDevice(cfg, optimal.New(1)); err == nil {
 			t.Errorf("NewDevice accepted config %d", i)
 		}
+	}
+}
+
+func TestSmallestPageSizeAccepted(t *testing.T) {
+	cfg := ftl.Config{LogicalBytes: 4 * 1000, PageSize: ftl.EntryBytesInFlash}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ftl.NewDevice(cfg, optimal.New(cfg.LogicalPages()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.EntriesPerTP() != 1 {
+		t.Fatalf("entries per translation page = %d, want 1", d.EntriesPerTP())
 	}
 }
 

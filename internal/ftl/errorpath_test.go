@@ -295,3 +295,41 @@ func TestRetryExhaustionSurfacesCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWriteTPRejectsBadUpdateAtomically: a WriteTP batch holding one bad
+// update — an offset past the page, or a slot past the logical space in
+// the partial last translation page — fails before any update is applied,
+// so the persisted view never holds content no program wrote.
+func TestWriteTPRejectsBadUpdateAtomically(t *testing.T) {
+	cfg := testConfig()
+	cfg.LogicalBytes = 3000 * 4096 // last translation page holds 952 of 1024 slots
+	d, _ := newOptimalDevice(t, cfg)
+	last := ftl.VTPN(d.NumTPs() - 1)
+	for _, tc := range []struct {
+		name string
+		v    ftl.VTPN
+		bad  ftl.EntryUpdate
+	}{
+		{"offset past the page", 0, ftl.EntryUpdate{Off: d.EntriesPerTP(), PPN: d.Truth(9)}},
+		{"slot past the logical space", last, ftl.EntryUpdate{Off: d.EntriesPerTP() - 1, PPN: d.Truth(9)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lo := ftl.LPN(int64(tc.v) * int64(d.EntriesPerTP()))
+			before := d.Persisted(lo)
+			gtd := d.GTDEntry(tc.v)
+			valid := ftl.EntryUpdate{Off: 0, PPN: d.Truth(lo + 1)}
+			if err := d.WriteTP(tc.v, []ftl.EntryUpdate{valid, tc.bad}, false); err == nil {
+				t.Fatal("WriteTP accepted a bad update")
+			}
+			if got := d.Persisted(lo); got != before {
+				t.Fatalf("rejected WriteTP changed persisted lpn %d: %d → %d", lo, before, got)
+			}
+			if got := d.GTDEntry(tc.v); got != gtd {
+				t.Fatalf("rejected WriteTP moved vtpn %d: %d → %d", tc.v, gtd, got)
+			}
+		})
+	}
+	if err := d.CheckConsistency(nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -115,14 +115,14 @@ func (d *Device) collect(blk flash.BlockID) error {
 		switch meta.Kind {
 		case flash.KindData:
 			lpn := LPN(meta.Tag)
-			if d.truth[lpn] != ppn {
-				return errf("GC: stale meta: lpn %d maps to %d, victim page %d", lpn, d.truth[lpn], ppn)
+			if d.sh.truth[lpn] != ppn {
+				return errf("GC: stale meta: lpn %d maps to %d, victim page %d", lpn, d.sh.truth[lpn], ppn)
 			}
 			newPPN, err := d.migratePage(ppn, meta)
 			if err != nil {
 				return err
 			}
-			d.truth[lpn] = newPPN
+			d.sh.setTruth(lpn, newPPN)
 			d.m.GCDataMigrations++
 			moves = append(moves, GCMove{LPN: lpn, OldPPN: ppn, NewPPN: newPPN})
 		case flash.KindTranslation:
@@ -135,7 +135,7 @@ func (d *Device) collect(blk flash.BlockID) error {
 				return err
 			}
 			d.gtd[v] = newPPN
-			d.foldTPPersist(v)
+			d.sh.fold(v)
 			d.m.GCTransMigrations++
 		default:
 			return errf("GC: page %d has kind %v", ppn, meta.Kind)

@@ -90,17 +90,17 @@ func (d *Device) RecoverMapping() (*RecoveredState, error) {
 	// page tagged lpn AND that page's slot for lpn is unmapped, the data
 	// page is pre-trim garbage. A real scan reads the slot from the
 	// translation page content itself; the simulator models translation
-	// page content in persist, which is mutated to InvalidPPN only after a
-	// trim's rewrite succeeded, and every translation-page program folds
-	// pending live mappings into its content first (foldTPPersist) — so
-	// "newer TP + unmapped slot" can never misfire on a mapping whose
-	// writeback was merely pending.
+	// page content in the shadow's persisted view, which is set to
+	// InvalidPPN only after a trim's rewrite succeeded, and every
+	// translation-page program folds pending live mappings into its content
+	// first (shadow.fold) — so "newer TP + unmapped slot" can never misfire
+	// on a mapping whose writeback was merely pending.
 	for lpn := int64(0); lpn < d.logicalPages; lpn++ {
 		if rs.Truth[lpn] == flash.InvalidPPN {
 			continue
 		}
 		v := int64(VTPNOf(LPN(lpn), d.entriesPerTP))
-		if gtdSeq[v] > truthSeq[lpn] && d.persist[lpn] == flash.InvalidPPN {
+		if gtdSeq[v] > truthSeq[lpn] && d.sh.persist[lpn] == flash.InvalidPPN {
 			rs.Truth[lpn] = flash.InvalidPPN
 		}
 	}
@@ -116,8 +116,8 @@ func (d *Device) VerifyRecoverable() error {
 		return err
 	}
 	for lpn := int64(0); lpn < d.logicalPages; lpn++ {
-		if rs.Truth[lpn] != d.truth[lpn] {
-			return errf("recovery: lpn %d rebuilt as %d, live %d", lpn, rs.Truth[lpn], d.truth[lpn])
+		if rs.Truth[lpn] != d.sh.truth[lpn] {
+			return errf("recovery: lpn %d rebuilt as %d, live %d", lpn, rs.Truth[lpn], d.sh.truth[lpn])
 		}
 	}
 	for v := 0; v < d.numTPs; v++ {

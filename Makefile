@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint lint-report lint-fix-audit sanitize fuzz bench bench-ci bench-smoke shard-smoke obs-smoke obs-live-smoke trim-smoke stream-smoke ci
+.PHONY: build test race vet fmt-check lint lint-report lint-fix-audit sanitize fuzz bench bench-ci bench-smoke shard-smoke obs-smoke obs-live-smoke trim-smoke stream-smoke perfbench-check ci
 
 build:
 	$(GO) build ./...
@@ -178,4 +178,11 @@ obs-live-smoke: bin/ftlsim bin/tracegen bin/obsvalidate
 	cmp /tmp/obs-live.off.txt /tmp/obs-live.on.txt
 	rm -f /tmp/obs-live.csv /tmp/obs-live.ftr /tmp/obs-live.*.txt /tmp/obs-live.*.prom
 
-ci: fmt-check vet lint lint-report race sanitize bench-smoke shard-smoke stream-smoke bench-ci obs-smoke obs-live-smoke trim-smoke
+# The benchmark harness (perfbench/) is its own Go module that replaces repro
+# with this checkout, so root `go test ./...` never compiles it. Vet and test
+# it here, so a change that removes or reshapes an API it calls fails CI
+# instead of breaking the benchmark. Both run offline.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
+ci: fmt-check vet lint lint-report race sanitize bench-smoke shard-smoke stream-smoke bench-ci obs-smoke obs-live-smoke trim-smoke perfbench-check

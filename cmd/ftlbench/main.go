@@ -37,7 +37,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -53,7 +52,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/live"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -79,10 +77,12 @@ type benchCase struct {
 	Channels int
 	Dies     int
 	QD       int // 0 = open loop
-	// Shards > 0 routes the case through the sharded multi-queue host
-	// frontend (internal/host): the LPN space striped across Shards
-	// independent devices served by Clients concurrent goroutines. These
-	// are the only cases whose wall time can use more than one CPU.
+	// Every case replays through the multi-queue host frontend
+	// (internal/host). Shards > 0 stripes the LPN space across Shards
+	// independent devices, served by Clients concurrent goroutines when
+	// there are two or more — the only cases whose wall time can use more
+	// than one CPU — and reports the merged digest; 0 is one device,
+	// reported by its raw event hash.
 	Shards  int
 	Clients int
 	// Stream replays the workload from a binary trace file through the
@@ -125,7 +125,9 @@ func matrix() []benchCase {
 		// shards (2 clients per shard, queue depth 8 per shard). The three
 		// cases share a seed, so sim_ops_per_wall_sec across them is the
 		// host frontend's wall-clock scaling curve; on a multi-core machine
-		// the 4-shard cell should approach 4x the 1-shard cell.
+		// the 4-shard cell should approach 4x the 1-shard cell. One shard
+		// serves inline on the calling goroutine, so only the 2- and 4-shard
+		// cells pay the lane hop.
 		{Name: "saturate-shard1", Scheme: sim.SchemeTPFTL, Workload: "randread",
 			Space: 4 * space, Requests: 48_000, Seed: 11, Channels: wideChannels, Dies: wideDies,
 			QD: 8, Shards: 1, Clients: 2},
@@ -372,39 +374,40 @@ func run(out, note, baseline, baselineNote string, keepBaseline bool, runs int, 
 	return nil
 }
 
-// buildCase constructs a fresh formatted, preconditioned device plus the
-// request sequence for one cell. Everything here is excluded from the
-// measured window.
-func buildCase(c benchCase) (*ftl.Device, []trace.Request, error) {
+// buildCase constructs a fresh host for one cell — max(1, c.Shards) devices
+// split from the base config, each formatted and preconditioned over its own
+// image of the workload footprint — plus the cell's request sequence (nil
+// for a stream cell, which replays its trace file). Everything here is
+// excluded from the measured window.
+func buildCase(c benchCase) (*host.Host, []trace.Request, error) {
 	cfg := ftl.DefaultConfig(c.Space)
 	cfg.CacheBytes = ftl.DefaultCacheBytes(c.Space)
 	cfg.Channels = c.Channels
 	cfg.Dies = c.Dies
-
-	tr, err := sim.NewTranslator(c.Scheme, cfg.CacheBytes, cfg.LogicalPages(), nil)
+	cfg.Seed = c.Seed
+	shards := c.Shards
+	if shards == 0 {
+		shards = 1
+	}
+	lay, cfgs, err := host.ShardConfigs(cfg, shards)
 	if err != nil {
 		return nil, nil, err
 	}
-	dev, err := ftl.NewDevice(cfg, tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := dev.Format(); err != nil {
-		return nil, nil, err
-	}
 
-	pageBytes := int64(dev.Config().PageSize)
+	pageBytes := int64(cfg.PageSize)
 	footprint := c.Space * 3 / 4
 	var reqs []trace.Request
-	switch c.Workload {
-	case "randread":
+	switch {
+	case c.Stream:
+		// Replays its trace file (see ensureStreamTrace).
+	case c.Workload == "randread":
 		rng := rand.New(rand.NewSource(c.Seed))
 		pages := footprint / pageBytes
 		reqs = make([]trace.Request, c.Requests)
 		for i := range reqs {
 			reqs[i] = trace.Request{Offset: rng.Int63n(pages) * pageBytes, Length: pageBytes}
 		}
-	case "seqread":
+	case c.Workload == "seqread":
 		pages := footprint / pageBytes
 		reqs = make([]trace.Request, c.Requests)
 		const span = 8 // pages per request
@@ -418,12 +421,10 @@ func buildCase(c benchCase) (*ftl.Device, []trace.Request, error) {
 			return nil, nil, err
 		}
 		profile = profile.Scale(c.Space)
-		fp := profile.FootprintBytes()
-		if fp > 0 {
+		if fp := profile.FootprintBytes(); fp > 0 {
 			footprint = fp
 		}
-		reqs, err = workload.Generate(profile, c.Requests, c.Seed)
-		if err != nil {
+		if reqs, err = workload.Generate(profile, c.Requests, c.Seed); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -432,29 +433,7 @@ func buildCase(c benchCase) (*ftl.Device, []trace.Request, error) {
 	// steady state, so the measured phase exercises the organic mix of cache
 	// work, flash traffic and collection.
 	footPages := footprint / pageBytes
-	if err := dev.PreconditionRange(int(footPages), footPages, c.Seed+1); err != nil {
-		return nil, nil, err
-	}
-	dev.ResetMetrics()
-	return dev, reqs, nil
-}
-
-// buildShardCase constructs the sharded host for one saturate-shard* cell:
-// the base config split across c.Shards devices, each formatted and
-// preconditioned over its own image of the workload footprint. Everything
-// here is excluded from the measured window.
-func buildShardCase(c benchCase) (*host.Host, []trace.Request, error) {
-	cfg := ftl.DefaultConfig(c.Space)
-	cfg.CacheBytes = ftl.DefaultCacheBytes(c.Space)
-	cfg.Channels = c.Channels
-	cfg.Dies = c.Dies
-	cfg.Seed = c.Seed
-	lay, cfgs, err := host.ShardConfigs(cfg, c.Shards)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	devs := make([]*ftl.Device, c.Shards)
+	devs := make([]*ftl.Device, shards)
 	for s := range devs {
 		tr, err := sim.NewTranslator(c.Scheme, cfgs[s].CacheBytes, cfgs[s].LogicalPages(), nil)
 		if err != nil {
@@ -467,30 +446,14 @@ func buildShardCase(c benchCase) (*host.Host, []trace.Request, error) {
 		if err := dev.Format(); err != nil {
 			return nil, nil, err
 		}
-		devs[s] = dev
-	}
-
-	if c.Workload != "randread" {
-		return nil, nil, fmt.Errorf("shard cases use the randread synthetic, got %q", c.Workload)
-	}
-	pageBytes := int64(devs[0].Config().PageSize)
-	footprint := c.Space * 3 / 4
-	pages := footprint / pageBytes
-	rng := rand.New(rand.NewSource(c.Seed))
-	reqs := make([]trace.Request, c.Requests)
-	for i := range reqs {
-		reqs[i] = trace.Request{Offset: rng.Int63n(pages) * pageBytes, Length: pageBytes}
-	}
-
-	footPages := footprint / pageBytes
-	for s, dev := range devs {
 		image := lay.ImagePages(s, footPages)
-		if err := dev.PreconditionRange(int(image), image, cfgs[s].Seed+1); err != nil {
+		if err := dev.PreconditionRange(int(image), image, c.Seed+1+int64(s)); err != nil {
 			return nil, nil, err
 		}
 		dev.ResetMetrics()
+		devs[s] = dev
 	}
-	h, err := host.New(lay, devs, host.Options{QueueDepth: c.QD})
+	h, err := host.New(lay, devs, host.Options{QueueDepth: c.QD, OpenLoop: c.QD == 0})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -561,38 +524,6 @@ func ensureStreamTrace(c benchCase) (string, error) {
 	return path, nil
 }
 
-// buildStreamCase constructs the device for a stream cell (identical to
-// buildCase's device setup) and opens the cached binary trace. Everything
-// here is excluded from the measured window; trace ingest is not.
-func buildStreamCase(c benchCase, tracePath string) (*ftl.Device, *trace.Stream, error) {
-	cfg := ftl.DefaultConfig(c.Space)
-	cfg.CacheBytes = ftl.DefaultCacheBytes(c.Space)
-	cfg.Channels = c.Channels
-	cfg.Dies = c.Dies
-	tr, err := sim.NewTranslator(c.Scheme, cfg.CacheBytes, cfg.LogicalPages(), nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	dev, err := ftl.NewDevice(cfg, tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := dev.Format(); err != nil {
-		return nil, nil, err
-	}
-	pageBytes := int64(dev.Config().PageSize)
-	footPages := c.Space * 3 / 4 / pageBytes
-	if err := dev.PreconditionRange(int(footPages), footPages, c.Seed+1); err != nil {
-		return nil, nil, err
-	}
-	dev.ResetMetrics()
-	st, err := trace.OpenBinary(tracePath)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dev, st, nil
-}
-
 // runCase measures one cell: allocations on the first run, wall time as the
 // best of `runs` repetitions (each on a fresh device so cache state is
 // identical). When plane is non-nil the cell's devices publish live epochs
@@ -621,82 +552,31 @@ func runCase(c benchCase, runs int, plane *live.Plane) (caseResult, error) {
 	var bestWall time.Duration
 	var merged ftl.Metrics
 	for r := 0; r < runs; r++ {
-		var measure func() (ftl.Metrics, uint64, error)
-		var cleanup func()
-		var liveCell *live.Cell
-		startRun := func(shards int) []*live.Cell {
-			if plane == nil {
-				return nil
+		h, reqs, err := buildCase(c)
+		if err != nil {
+			return res, err
+		}
+		if plane != nil {
+			shards := c.Shards
+			if shards == 0 {
+				shards = 1
 			}
-			cells := plane.StartRun(live.RunInfo{
+			h.SetLive(plane.StartRun(live.RunInfo{
 				Scheme:        string(c.Scheme),
 				Workload:      c.Name,
 				Shards:        shards,
 				TotalRequests: int64(c.Requests),
-			})
-			liveCell = cells[0]
-			return cells
+			}))
 		}
+		var it trace.Iterator = trace.NewSliceIterator(reqs)
+		var st *trace.Stream
+		opts := host.ReplayOptions{Clients: c.Clients}
 		if c.Stream {
-			dev, st, err := buildStreamCase(c, tracePath)
-			if err != nil {
+			if st, err = trace.OpenBinary(tracePath); err != nil {
 				return res, err
 			}
-			if cells := startRun(1); cells != nil {
-				dev.SetLive(liveCell)
-			}
-			cleanup = func() { st.Close() }
-			measure = func() (ftl.Metrics, uint64, error) {
-				a := ssd.NewAdmitter(c.QD)
-				a.SetLive(liveCell)
-				buf := make([]trace.Request, streamBatch)
-				for {
-					n, err := st.Next(buf)
-					for i := 0; i < n; i++ {
-						if _, aerr := a.Admit(dev, buf[i]); aerr != nil {
-							return ftl.Metrics{}, 0, aerr
-						}
-					}
-					if err == io.EOF {
-						break
-					}
-					if err != nil {
-						return ftl.Metrics{}, 0, err
-					}
-				}
-				dev.PublishLive()
-				return dev.Metrics(), dev.Scheduler().EventHash(), nil
-			}
-		} else if c.Shards > 0 {
-			h, reqs, err := buildShardCase(c)
-			if err != nil {
-				return res, err
-			}
-			if cells := startRun(c.Shards); cells != nil {
-				h.SetLive(cells)
-			}
-			measure = func() (ftl.Metrics, uint64, error) {
-				out, err := h.Replay(reqs, host.ReplayOptions{Clients: c.Clients})
-				if err != nil {
-					return ftl.Metrics{}, 0, err
-				}
-				return out.M, out.Digest, nil
-			}
-		} else {
-			dev, reqs, err := buildCase(c)
-			if err != nil {
-				return res, err
-			}
-			if cells := startRun(1); cells != nil {
-				dev.SetLive(liveCell)
-			}
-			measure = func() (ftl.Metrics, uint64, error) {
-				if _, err := (ssd.Frontend{QueueDepth: c.QD, Live: liveCell}).Run(dev, reqs); err != nil {
-					return ftl.Metrics{}, 0, err
-				}
-				dev.PublishLive()
-				return dev.Metrics(), dev.Scheduler().EventHash(), nil
-			}
+			it = st
+			opts.Batch = streamBatch
 		}
 
 		var msBefore, msAfter runtime.MemStats
@@ -708,13 +588,19 @@ func runCase(c benchCase, runs int, plane *live.Plane) (caseResult, error) {
 			runtime.ReadMemStats(&msBefore)
 		}
 		start := time.Now()
-		m, hash, err := measure()
+		out, err := h.ReplayStream(it, opts)
 		wall := time.Since(start)
-		if cleanup != nil {
-			cleanup()
+		if st != nil {
+			st.Close()
 		}
 		if err != nil {
 			return res, err
+		}
+		// Sharded cells report the merged digest, the others their one
+		// device's raw event hash.
+		m, hash := out.M, out.Digest
+		if c.Shards == 0 {
+			hash = out.Shards[0].EventHash
 		}
 		var peakRSS uint64
 		if measureAllocs {

@@ -73,8 +73,8 @@ func main() {
 		channels  = flag.Int("channels", ftl.DefaultChannels, "flash channels (parallel backend geometry)")
 		dies      = flag.Int("dies", ftl.DefaultDies, "dies per channel")
 		qd        = flag.Int("qd", 1, "queue depth: N requests in flight closed-loop; 0 replays arrival times open-loop (per shard when -shards is set)")
-		shards    = flag.Int("shards", 0, "stripe the LPN space across N independent FTL instances behind the multi-queue host frontend (0 = legacy single-device path; 1 reproduces it bit-for-bit)")
-		clients   = flag.Int("clients", 0, "concurrent submitter goroutines feeding the sharded host (default one per shard; simulated results are independent of it)")
+		shards    = flag.Int("shards", 0, "stripe the LPN space across N independent FTL instances behind the multi-queue host frontend (0 and 1 both run one device with identical metrics; 1 adds the per-shard table and merged digest; -metrics-out, -trace-out and -faults need at most 1)")
+		clients   = flag.Int("clients", 0, "concurrent submitter goroutines feeding a host of 2 or more shards (default one per shard; simulated results are independent of it)")
 		tplace    = flag.String("tplace", "striped", "translation-page placement on a multi-channel device: striped, pinned")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprof   = flag.String("memprofile", "", "write a heap profile taken after the run to this file")

@@ -25,9 +25,9 @@ func TestGlobalState(t *testing.T) {
 
 // TestGlobalStateHostShapes runs the analyzer over a fixture mirroring the
 // sharded host frontend (internal/host): the package-level tallies, hash
-// folds and clocks its shard workers must NOT share are flagged, and the one
-// real //ftl:shardsafe annotation the package carries (the atomic queue-ID
-// source) is accepted with its reason.
+// folds and clocks its shard workers must NOT share are flagged, and a
+// //ftl:shardsafe annotation on an atomic ID source that never feeds
+// simulation state is accepted with its reason.
 func TestGlobalStateHostShapes(t *testing.T) {
 	a := registry.Get("globalstate")
 	if a == nil {

@@ -19,9 +19,8 @@ var shardHashes []uint64 // want `mutable type`
 // clocks through shared memory — the exact coupling sharding removes.
 var admitClock int64 // want `written or aliased after initialization`
 
-// The one sanctioned shape, taken verbatim from internal/host: a monotonic
-// queue-ID source that is atomic and feeds error messages only, never
-// simulation state.
+// The one sanctioned shape: a monotonic queue-ID source that is atomic and
+// feeds error messages only, never simulation state.
 //
 //ftl:shardsafe monotonic ID source, atomic, never read by simulation state
 var nextQueueID atomic.Int64

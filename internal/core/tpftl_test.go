@@ -469,10 +469,15 @@ func TestTPFTLOutperformsDFTLOnWrites(t *testing.T) {
 		return reqs
 	}
 
-	dT, trT := newTPFTLDevice(t, DefaultConfig(cache), cache)
-	if _, err := dT.Run(mkReqs()); err != nil {
-		t.Fatal(err)
+	serve := func(d *ftl.Device) {
+		for i, r := range mkReqs() {
+			if _, err := d.Serve(r); err != nil {
+				t.Fatalf("request %d: %v", i, err)
+			}
+		}
 	}
+	dT, trT := newTPFTLDevice(t, DefaultConfig(cache), cache)
+	serve(dT)
 	trDF := dftl.New(dftl.Config{CacheBytes: cache})
 	dD, err := ftl.NewDevice(deviceConfig(cache), trDF)
 	if err != nil {
@@ -481,9 +486,7 @@ func TestTPFTLOutperformsDFTLOnWrites(t *testing.T) {
 	if err := dD.Format(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dD.Run(mkReqs()); err != nil {
-		t.Fatal(err)
-	}
+	serve(dD)
 
 	mT, mD := dT.Metrics(), dD.Metrics()
 	if mT.TransWrites() >= mD.TransWrites() {

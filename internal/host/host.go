@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/ftl"
 	"repro/internal/obs/live"
@@ -35,39 +34,25 @@ func (o Options) depth() int {
 }
 
 // Host owns the per-shard devices and routes block requests to them.
-// Construct with New, then either Replay a trace deterministically or Start
-// the queue-pair service and feed it from concurrent client goroutines.
+// Construct with New, then ReplayStream a trace through it.
 type Host struct {
 	lay    Layout
 	opt    Options
 	shards []*shard
-	// serving is non-nil while the free-form queue-pair service is running
-	// (between Start and Stop); Replay refuses to run concurrently with it.
-	serving *sync.WaitGroup
 }
 
-// shard is one slice of the LPN space: a private device plus the admission
-// state of its serial request loop. Everything here is touched only by the
-// shard's worker goroutine (or, between runs, by the host's caller), never
+// shard is one slice of the LPN space: a private device plus the admitter of
+// its serial request loop. Everything here is touched only by the goroutine
+// serving the shard (or, between runs, by the host's caller), never
 // concurrently.
 type shard struct {
 	id  int
 	dev *ftl.Device
-
-	qd       int // 0 = open loop
-	inflight ssd.EventQueue
-	seq      int64
-
-	admitted int64
-	maxDepth int64
-	depthSum int64
-	err      error
+	adm *ssd.Admitter // the current run's admission queue
+	err error
 
 	// cell is the shard's live-telemetry cell (nil when the plane is off).
-	// The worker publishes queue stats into it once per served batch.
 	cell *live.Cell
-
-	inbox chan freeFrag // queue-pair mode submissions (nil outside Start/Stop)
 }
 
 // New builds a host over per-shard devices. devs[s] must advertise exactly
@@ -95,13 +80,13 @@ func (h *Host) Layout() Layout { return h.lay }
 
 // Device returns shard s's device, for per-shard setup (formatting,
 // preconditioning, warming, fault arming) before a run. It must not be
-// touched while a Replay or the queue-pair service is running.
+// touched while a replay is running.
 func (h *Host) Device(s int) *ftl.Device { return h.shards[s].dev }
 
 // SetLive attaches one live-telemetry cell per shard (cells[s] → shard s;
 // nil entries or a nil slice detach). Each shard's device publishes epochs
-// and flight-recorder entries into its cell from the shard worker goroutine,
-// and the worker publishes frontend queue stats per batch — telemetry rides
+// and flight-recorder entries into its cell from the goroutine serving the
+// shard, which also publishes the queue stats per batch — telemetry rides
 // the existing single-writer-per-shard discipline, so replays stay
 // bit-for-bit deterministic with the plane on or off.
 func (h *Host) SetLive(cells []*live.Cell) {
@@ -115,53 +100,33 @@ func (h *Host) SetLive(cells []*live.Cell) {
 	}
 }
 
-// reset clears one run's admission state. A closed loop at depth 1 starts
-// with the device's current clock occupying the single slot, reproducing the
-// serial path's admit-at-now semantics (Device.Serve) after preconditioning
-// or a warm-up phase; deeper queues and open loop start empty, exactly like
-// a fresh ssd.Frontend — mirroring which path the non-sharded simulator
-// would have taken.
-func (s *shard) reset(qd int) {
-	s.qd = qd
-	s.inflight = ssd.EventQueue{}
-	s.seq = 0
-	s.admitted = 0
-	s.maxDepth = 0
-	s.depthSum = 0
+// begin starts one run's admission: a fresh admitter seeded from the
+// device's clock (see ssd.NewAdmitter), so a run after preconditioning or a
+// warm-up phase admits exactly as the serial Device.Serve path would.
+func (s *shard) begin(qd int) {
+	s.adm = ssd.NewAdmitter(qd, s.dev.Now())
 	s.err = nil
-	if qd == 1 {
-		s.inflight.Push(ssd.Event{Time: s.dev.Now(), Seq: 0})
-	}
 }
 
-// serveOne admits one local request against the shard's queue-depth policy
-// and serves it on the device. Logical effects apply in call order; only
-// simulated timing overlaps.
-func (s *shard) serveOne(r trace.Request) (time.Duration, error) {
-	arrival := time.Duration(r.Arrival)
-	admit := arrival
-	if s.qd > 0 {
-		for s.inflight.Len() >= s.qd {
-			e := s.inflight.Pop()
-			if e.Time > admit {
-				admit = e.Time
-			}
-		}
+// admit serves one local request through the shard's admitter. Logical
+// effects apply in call order; only simulated timing overlaps. A failure
+// names the shard and the request's index in the shard's stream — on one
+// shard, its index in the trace.
+func (s *shard) admit(r trace.Request) error {
+	if _, err := s.adm.Admit(s.dev, r); err != nil {
+		return fmt.Errorf("host: shard %d: request %d: %w", s.id, s.adm.Stats().Admitted, err)
 	}
-	s.inflight.DrainThrough(admit)
-	complete, err := s.dev.ServeAt(r, admit)
-	if err != nil {
-		return 0, err
+	return nil
+}
+
+// publishQueue stores the shard's queueing statistics into its live cell:
+// the one place queue stats reach the live plane. It runs on the goroutine
+// serving the shard, or after the run.
+func (s *shard) publishQueue() {
+	if s.cell != nil {
+		st := s.adm.Stats()
+		s.cell.SetQueueStats(st.Admitted, st.DepthSum, st.MaxDepth)
 	}
-	s.admitted++
-	s.seq++
-	s.inflight.Push(ssd.Event{Time: complete, Seq: s.seq})
-	depth := int64(s.inflight.Len())
-	s.depthSum += depth
-	if depth > s.maxDepth {
-		s.maxDepth = depth
-	}
-	return complete, nil
 }
 
 // ShardResult is one shard's outcome of a run.
@@ -175,8 +140,6 @@ type ShardResult struct {
 	// EventHash is the shard scheduler's order-sensitive hash of every
 	// flash operation since device creation.
 	EventHash uint64
-	// Admitted counts the fragments this shard served during the run.
-	Admitted int64
 	// FS is the shard frontend's queueing statistics — the same snapshot
 	// struct the live telemetry plane publishes per shard, so the ftlsim
 	// report table and a live scrape read identical numbers.
@@ -204,7 +167,8 @@ type Outcome struct {
 type ReplayOptions struct {
 	// Clients is the total number of concurrent submitter goroutines,
 	// spread round-robin over shards (minimum one per shard, which is the
-	// default).
+	// default). A one-shard host serves on the caller's goroutine and
+	// ignores it.
 	Clients int
 	// Batch is the number of requests per submission (doorbell coalescing;
 	// default 64). Purely a wall-clock knob: the per-shard service order —
@@ -214,15 +178,6 @@ type ReplayOptions struct {
 
 // DefaultBatch is the submission batch size when ReplayOptions.Batch is 0.
 const DefaultBatch = 64
-
-// Replay routes a request stream across the shards and serves every shard
-// concurrently, deterministically. It is the eager form of ReplayStream —
-// the slice is wrapped in an iterator, so both paths share one router and
-// every simulated metric, per-shard EventHash and the merged Digest are
-// bit-for-bit identical between them.
-func (h *Host) Replay(reqs []trace.Request, o ReplayOptions) (*Outcome, error) {
-	return h.ReplayStream(trace.NewSliceIterator(reqs), o)
-}
 
 // replayLane is one client goroutine's channel pair: full batches flow
 // shard-ward on data, served batches return on free for refilling. Two
@@ -234,35 +189,92 @@ type replayLane struct {
 }
 
 // ReplayStream routes a streamed request source across the shards and serves
-// every shard concurrently, deterministically: the router (the calling
-// goroutine) pulls batches from the iterator, fragments each request per
-// shard (flushes broadcast, payload ops split by LPN), and deals each
-// shard's full batches round-robin across its client lanes; the shard worker
-// takes one batch per lane per turn in the same round-robin — so the
-// per-shard service order equals the partition order no matter how many
-// clients feed it, what the batch size is, or how the Go scheduler
-// interleaves the goroutines. Every simulated metric, per-shard EventHash
-// and the merged Digest are therefore bit-for-bit reproducible — and equal
-// to an eager Replay of the same requests — while resident memory stays
-// bounded by the lane buffers, never the trace.
+// every shard deterministically: each request is fragmented per shard
+// (flushes broadcast, payload ops split by LPN) and every shard admits its
+// fragments, in trace order, through its own ssd.Admitter.
+//
+// A one-shard host serves inline on the calling goroutine: pull a batch,
+// route it, admit it — no lane, no channel hop. With more shards the caller
+// becomes the router and deals each shard's full batches round-robin across
+// its client lanes; the shard's worker takes one batch per lane per turn in
+// the same round-robin — so the per-shard service order equals the partition
+// order no matter how many clients feed it, what the batch size is, or how
+// the Go scheduler interleaves the goroutines. Either way every simulated
+// metric, per-shard EventHash and the merged Digest are bit-for-bit
+// reproducible, while resident memory stays bounded by the batch buffers,
+// never the trace.
 func (h *Host) ReplayStream(it trace.Iterator, o ReplayOptions) (*Outcome, error) {
-	if h.serving != nil {
-		return nil, fmt.Errorf("host: Replay while the queue-pair service is running")
-	}
 	batch := o.Batch
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
-	clients := o.Clients
+	qd := h.opt.depth()
+	for _, sh := range h.shards {
+		sh.begin(qd)
+	}
+	var requests, fragments int64
+	var err error
+	if len(h.shards) == 1 {
+		requests, fragments, err = h.serveInline(it, batch)
+	} else {
+		requests, fragments, err = h.serveLanes(it, batch, o.Clients)
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := h.collect()
+	out.Requests = requests
+	out.Fragments = fragments
+	for _, sh := range h.shards {
+		if sh.err != nil {
+			return out, sh.err
+		}
+	}
+	return out, nil
+}
+
+// serveInline replays it on a one-shard host from the calling goroutine.
+// Routing still runs (it validates each request and bounds it by the
+// capacity), but on one shard every request is exactly one fragment, so the
+// shard's order is the trace's order. It returns a routing or read error;
+// an admission failure lands in the shard's err and stops the replay.
+func (h *Host) serveInline(it trace.Iterator, batch int) (requests, fragments int64, err error) {
+	sh := h.shards[0]
+	buf := make([]trace.Request, batch)
+	var frags []Fragment
+	for sh.err == nil {
+		n, rerr := it.Next(buf)
+		for i := 0; i < n && sh.err == nil; i++ {
+			if frags, err = h.lay.Fragments(buf[i], frags[:0]); err != nil {
+				return requests, fragments, fmt.Errorf("host: request %d: %w", requests, err)
+			}
+			requests++
+			for _, f := range frags {
+				fragments++
+				sh.err = sh.admit(f.Req)
+			}
+		}
+		sh.publishQueue()
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			return requests, fragments, fmt.Errorf("host: reading trace after request %d: %w", requests, rerr)
+		}
+	}
+	return requests, fragments, nil
+}
+
+// serveLanes replays it on a multi-shard host: the calling goroutine routes,
+// one worker goroutine per shard serves. It returns a routing or read error;
+// admission failures land in the shards' err fields.
+func (h *Host) serveLanes(it trace.Iterator, batch, clients int) (requests, fragments int64, err error) {
 	if clients < h.lay.Shards {
 		clients = h.lay.Shards
 	}
-	qd := h.opt.depth()
-
 	var wg sync.WaitGroup
 	lanes := make([][]replayLane, h.lay.Shards)
 	for s, sh := range h.shards {
-		sh.reset(qd)
 		k := clientsOfShard(clients, h.lay.Shards, s)
 		ls := make([]replayLane, k)
 		for i := range ls {
@@ -295,14 +307,11 @@ func (h *Host) ReplayStream(it trace.Iterator, o ReplayOptions) (*Outcome, error
 				// router never blocks on a dead shard.
 				if sh.err == nil {
 					for i := range b {
-						if _, err := sh.serveOne(b[i]); err != nil {
-							sh.err = fmt.Errorf("shard %d: %w", sh.id, err)
+						if sh.err = sh.admit(b[i]); sh.err != nil {
 							break
 						}
 					}
-					if sh.cell != nil {
-						sh.cell.SetQueueStats(sh.admitted, sh.depthSum, sh.maxDepth)
-					}
+					sh.publishQueue()
 				}
 				ls[turn].free <- b[:0]
 			}
@@ -319,15 +328,13 @@ func (h *Host) ReplayStream(it trace.Iterator, o ReplayOptions) (*Outcome, error
 	}
 	reqBuf := make([]trace.Request, batch)
 	var frags []Fragment
-	var requests, fragments int64
-	var routeErr error
 router:
 	for {
-		n, err := it.Next(reqBuf)
+		n, rerr := it.Next(reqBuf)
 		for i := 0; i < n; i++ {
-			frags, routeErr = h.lay.Fragments(reqBuf[i], frags[:0])
-			if routeErr != nil {
-				routeErr = fmt.Errorf("host: request %d: %w", requests, routeErr)
+			frags, err = h.lay.Fragments(reqBuf[i], frags[:0])
+			if err != nil {
+				err = fmt.Errorf("host: request %d: %w", requests, err)
 				break router
 			}
 			requests++
@@ -342,15 +349,15 @@ router:
 				}
 			}
 		}
-		if err != nil {
-			if err != io.EOF {
-				routeErr = fmt.Errorf("host: reading trace after request %d: %w", requests, err)
+		if rerr != nil {
+			if rerr != io.EOF {
+				err = fmt.Errorf("host: reading trace after request %d: %w", requests, rerr)
 			}
 			break
 		}
 	}
 	for s := range h.shards {
-		if routeErr == nil && len(cur[s]) > 0 {
+		if err == nil && len(cur[s]) > 0 {
 			lanes[s][turn[s]].data <- cur[s]
 		}
 		for i := range lanes[s] {
@@ -358,19 +365,7 @@ router:
 		}
 	}
 	wg.Wait()
-
-	if routeErr != nil {
-		return nil, routeErr
-	}
-	out := h.collect()
-	out.Requests = requests
-	out.Fragments = fragments
-	for _, sh := range h.shards {
-		if sh.err != nil {
-			return out, sh.err
-		}
-	}
-	return out, nil
+	return requests, fragments, err
 }
 
 // clientsOfShard spreads total clients round-robin over shards; every shard
@@ -393,23 +388,24 @@ func (h *Host) collect() *Outcome {
 	hashes := make([]uint64, len(h.shards))
 	for s, sh := range h.shards {
 		m := sh.dev.Metrics()
-		if sh.qd != 1 {
+		fs := sh.adm.Stats()
+		if h.opt.depth() != 1 {
 			// Queue-depth stats exist only when the admission policy
 			// actually queues; the depth-1 closed loop mirrors the serial
 			// Device.Serve path, which reports none.
-			m.MaxQueueDepth = sh.maxDepth
-			m.QueueDepthSum = sh.depthSum
+			m.MaxQueueDepth = fs.MaxDepth
+			m.QueueDepthSum = fs.DepthSum
 		}
 		hashes[s] = sh.dev.Scheduler().EventHash()
-		fs := ssd.FrontendStats{Admitted: sh.admitted, MaxDepth: sh.maxDepth, DepthSum: sh.depthSum}
-		out.Shards[s] = ShardResult{Shard: s, M: m, EventHash: hashes[s], Admitted: sh.admitted, FS: fs}
+		out.Shards[s] = ShardResult{Shard: s, M: m, EventHash: hashes[s], FS: fs}
 		out.M.Merge(&m)
 		if sh.cell != nil {
 			// Final epoch + queue stats so a scrape after the run (or during
 			// a -telemetry-linger wait) sees the exact end-of-run numbers.
-			// collect runs after wg.Wait(), so the single-writer rule holds.
+			// collect runs after every shard finished serving, so the
+			// single-writer rule holds.
 			sh.dev.PublishLive()
-			sh.cell.SetQueueStats(sh.admitted, sh.depthSum, sh.maxDepth)
+			sh.publishQueue()
 		}
 	}
 	out.Digest = Digest(hashes)

@@ -90,10 +90,42 @@ func mixedTrace(seed int64, n int, space, pageBytes int64, arrivalStep int64) []
 	return reqs
 }
 
-// TestReplaySerialEquivalence pins the 1-shard host path to the legacy
-// serial drivers bit-for-bit: depth 1 against Device.Run, deeper queues and
-// open loop against ssd.Frontend — same metrics, same event hash, however
-// many client goroutines feed the host.
+// serveAll serves reqs in order on dev through Device.Serve, the serial
+// driver's admit-at-now rule.
+func serveAll(t *testing.T, dev *ftl.Device, reqs []trace.Request) {
+	t.Helper()
+	for i, r := range reqs {
+		if _, err := dev.Serve(r); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+}
+
+// admitAll feeds reqs in order through a fresh ssd.Admitter of the given
+// depth and returns dev's metrics with the queue stats folded in.
+func admitAll(t *testing.T, dev *ftl.Device, qd int, reqs []trace.Request) ftl.Metrics {
+	t.Helper()
+	a := ssd.NewAdmitter(qd, dev.Now())
+	for i, r := range reqs {
+		if _, err := a.Admit(dev, r); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	m := dev.Metrics()
+	m.MaxQueueDepth = a.Stats().MaxDepth
+	m.QueueDepthSum = a.Stats().DepthSum
+	return m
+}
+
+// replay runs reqs through h.ReplayStream from an in-memory slice.
+func replay(h *Host, reqs []trace.Request, o ReplayOptions) (*Outcome, error) {
+	return h.ReplayStream(trace.NewSliceIterator(reqs), o)
+}
+
+// TestReplaySerialEquivalence pins the 1-shard host path to the serial
+// drivers bit-for-bit: depth 1 against Device.Serve, deeper queues and open
+// loop against a bare ssd.Admitter — same metrics, same event hash, however
+// many client goroutines the caller asks for.
 func TestReplaySerialEquivalence(t *testing.T) {
 	const space = 16 << 20
 	base := ftl.DefaultConfig(space)
@@ -107,36 +139,20 @@ func TestReplaySerialEquivalence(t *testing.T) {
 		legacy  func(t *testing.T, dev *ftl.Device) ftl.Metrics
 	}{
 		{"qd1", Options{}, 3, func(t *testing.T, dev *ftl.Device) ftl.Metrics {
-			if _, err := dev.Run(reqs); err != nil {
-				t.Fatal(err)
-			}
+			serveAll(t, dev, reqs)
 			return dev.Metrics() // what sim.Run reports (fills Elapsed/ChanBusy)
 		}},
 		{"qd4", Options{QueueDepth: 4}, 2, func(t *testing.T, dev *ftl.Device) ftl.Metrics {
-			fst, err := ssd.Frontend{QueueDepth: 4}.Run(dev, reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := dev.Metrics()
-			m.MaxQueueDepth = fst.MaxDepth
-			m.QueueDepthSum = fst.DepthSum
-			return m
+			return admitAll(t, dev, 4, reqs)
 		}},
 		{"openloop", Options{OpenLoop: true}, 4, func(t *testing.T, dev *ftl.Device) ftl.Metrics {
-			fst, err := ssd.Frontend{}.Run(dev, reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := dev.Metrics()
-			m.MaxQueueDepth = fst.MaxDepth
-			m.QueueDepthSum = fst.DepthSum
-			return m
+			return admitAll(t, dev, 0, reqs)
 		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			h := newTestHost(t, base, 1, c.opt)
-			out, err := h.Replay(reqs, ReplayOptions{Clients: c.clients, Batch: 7})
+			out, err := replay(h, reqs, ReplayOptions{Clients: c.clients, Batch: 7})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +188,7 @@ func TestReplayClientCountInvariance(t *testing.T) {
 
 	run := func(clients, batch int) *Outcome {
 		h := newTestHost(t, base, 4, Options{QueueDepth: 8})
-		out, err := h.Replay(reqs, ReplayOptions{Clients: clients, Batch: batch})
+		out, err := replay(h, reqs, ReplayOptions{Clients: clients, Batch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +217,7 @@ func TestShardSaturationDigestStable(t *testing.T) {
 
 	run := func() *Outcome {
 		h := newTestHost(t, base, 4, Options{QueueDepth: 8})
-		out, err := h.Replay(reqs, ReplayOptions{Clients: 8})
+		out, err := replay(h, reqs, ReplayOptions{Clients: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +234,7 @@ func TestShardSaturationDigestStable(t *testing.T) {
 		t.Fatal("suspicious zero digest")
 	}
 	for _, sr := range a.Shards {
-		if sr.Admitted == 0 {
+		if sr.FS.Admitted == 0 {
 			t.Fatalf("shard %d served nothing — sharding is not spreading load", sr.Shard)
 		}
 	}
@@ -232,7 +248,7 @@ func TestShardSaturationDigestStable(t *testing.T) {
 func TestReplayZeroRequests(t *testing.T) {
 	base := ftl.DefaultConfig(16 << 20)
 	h := newTestHost(t, base, 2, Options{})
-	out, err := h.Replay(nil, ReplayOptions{})
+	out, err := replay(h, nil, ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +258,7 @@ func TestReplayZeroRequests(t *testing.T) {
 	if got := out.M.AvgQueueDepth(); got != 0 {
 		t.Fatalf("empty replay AvgQueueDepth = %v", got)
 	}
-	again, err := h.Replay(nil, ReplayOptions{})
+	again, err := replay(h, nil, ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +271,9 @@ func TestReplayZeroRequests(t *testing.T) {
 func TestReplayRejectsBadTrace(t *testing.T) {
 	base := ftl.DefaultConfig(16 << 20)
 	h := newTestHost(t, base, 2, Options{})
-	_, err := h.Replay([]trace.Request{{Offset: -4096, Length: 4096, Op: trace.OpRead}}, ReplayOptions{})
+	_, err := replay(h, []trace.Request{{Offset: -4096, Length: 4096, Op: trace.OpRead}}, ReplayOptions{})
 	if err == nil {
-		t.Fatal("Replay accepted a malformed request")
+		t.Fatal("ReplayStream accepted a malformed request")
 	}
 }
 

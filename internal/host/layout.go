@@ -24,10 +24,7 @@
 // hashes into one value that is insensitive to how shard executions
 // interleave in wall time — per-shard order is what matters, cross-shard
 // order never does — so determinism tests stay meaningful under true
-// concurrency. The deterministic replay path (Host.Replay) fixes each
-// shard's order by construction; the free-form queue-pair path (Host.Start /
-// OpenQueue) serves in arrival order and trades digest stability for
-// unconstrained routing.
+// concurrency. Host.ReplayStream fixes each shard's order by construction.
 package host
 
 import (
@@ -114,8 +111,12 @@ func (l Layout) OwnedChunks(s int) int64 {
 
 // ShardBytes returns shard s's advertised capacity: its owned chunks, the
 // partial tail chunk rounded up to a whole one so every shard's space is
-// chunk aligned.
+// chunk aligned. A single shard owns the whole space, so it advertises the
+// global capacity exactly, unrounded.
 func (l Layout) ShardBytes(s int) int64 {
+	if l.Shards == 1 {
+		return l.LogicalBytes
+	}
 	return l.OwnedChunks(s) * l.chunkBytes
 }
 
@@ -166,6 +167,10 @@ func (l Layout) Fragments(r trace.Request, out []Fragment) ([]Fragment, error) {
 	if r.End() > l.LogicalBytes {
 		return out, fmt.Errorf("host: request [%d,%d) beyond capacity %d", r.Offset, r.End(), l.LogicalBytes)
 	}
+	if l.Shards == 1 {
+		// One shard's local space is the global space.
+		return append(out, Fragment{Req: r}), nil
+	}
 	n := int64(l.Shards)
 	cb := l.chunkBytes
 	ga := r.Offset / cb
@@ -214,8 +219,9 @@ func (l Layout) Partition(reqs []trace.Request) ([][]trace.Request, error) {
 // ShardConfigs derives the per-shard device configurations from a base
 // config: each shard advertises its owned chunks, gets an equal split of the
 // mapping-cache budget, and a distinct RNG seed. A single shard passes the
-// base config through untouched, which is what keeps the 1-shard host path
-// bit-for-bit compatible with the serial device.
+// base config through untouched — capacity included, however unaligned —
+// which is what keeps the 1-shard host path bit-for-bit compatible with the
+// serial device.
 func ShardConfigs(base ftl.Config, shards int) (Layout, []ftl.Config, error) {
 	pageBytes := base.PageSize
 	if pageBytes == 0 {

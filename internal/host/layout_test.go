@@ -60,8 +60,12 @@ func TestLayoutOwnershipPartition(t *testing.T) {
 		var owned int64
 		for s := 0; s < shards; s++ {
 			owned += l.OwnedChunks(s)
-			if l.ShardBytes(s) != l.OwnedChunks(s)*l.ChunkBytes() {
-				t.Fatalf("shards=%d: ShardBytes(%d) not chunk aligned", shards, s)
+			want := l.OwnedChunks(s) * l.ChunkBytes()
+			if shards == 1 {
+				want = l.LogicalBytes // the whole space, unrounded
+			}
+			if l.ShardBytes(s) != want {
+				t.Fatalf("shards=%d: ShardBytes(%d) = %d, want %d", shards, s, l.ShardBytes(s), want)
 			}
 		}
 		if owned != l.Chunks() {
@@ -230,16 +234,24 @@ func TestPartitionConservation(t *testing.T) {
 	}
 }
 
+// TestShardConfigsSingleShardPassthrough pins the 1-shard identity: the base
+// config passes through untouched and the layout assigns the shard exactly
+// the global capacity, also when it is not a whole number of chunks.
 func TestShardConfigsSingleShardPassthrough(t *testing.T) {
-	base := ftl.DefaultConfig(64 << 20)
-	base.CacheBytes = 123456
-	base.Seed = 42
-	_, cfgs, err := ShardConfigs(base, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cfgs) != 1 || !reflect.DeepEqual(cfgs[0], base) {
-		t.Fatalf("single-shard config not passed through: %+v", cfgs)
+	for _, space := range []int64{64 << 20, 64<<20 + 4096, 10 << 20, 3<<20 + 8192} {
+		base := ftl.DefaultConfig(space)
+		base.CacheBytes = 123456
+		base.Seed = 42
+		lay, cfgs, err := ShardConfigs(base, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cfgs) != 1 || !reflect.DeepEqual(cfgs[0], base) {
+			t.Fatalf("space %d: single-shard config not passed through: %+v", space, cfgs)
+		}
+		if got := lay.ShardBytes(0); got != space {
+			t.Fatalf("space %d: layout assigns the single shard %d B", space, got)
+		}
 	}
 }
 

@@ -29,21 +29,15 @@ func TestMetricsMergeAgreesWithUnsplitRun(t *testing.T) {
 	}
 
 	whole := setup()
-	if _, err := whole.Run(reqs); err != nil {
-		t.Fatal(err)
-	}
+	serveAll(t, whole, reqs)
 	want := whole.Metrics()
 
 	split := setup()
 	cut := len(reqs) / 3
-	if _, err := split.Run(reqs[:cut]); err != nil {
-		t.Fatal(err)
-	}
+	serveAll(t, split, reqs[:cut])
 	m1 := split.Metrics()
 	split.ResetMetrics()
-	if _, err := split.Run(reqs[cut:]); err != nil {
-		t.Fatal(err)
-	}
+	serveAll(t, split, reqs[cut:])
 	m2 := split.Metrics()
 
 	got := m1

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/flash"
@@ -133,26 +134,36 @@ func TestCrashRecoveryWithTransientFaults(t *testing.T) {
 // for them in the metrics, and still finish consistent (Run's built-in
 // post-run check).
 func TestRunWithTransientFaults(t *testing.T) {
-	r, err := Run(Options{
-		Scheme:   SchemeTPFTL,
-		Profile:  smallProfile(workload.Financial1()),
-		Requests: 5_000,
-		Seed:     3,
-		Faults: &flash.FaultPlan{
-			Seed:        11,
-			ReadProb:    0.001,
-			ProgramProb: 0.001,
-			EraseProb:   0.001,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.M.InjectedFaults == 0 {
-		t.Fatalf("no faults observed; plan was not armed")
-	}
-	if r.M.FaultRetries != r.M.InjectedFaults {
-		t.Fatalf("retries %d != injected %d: some transient faults were not retried", r.M.FaultRetries, r.M.InjectedFaults)
+	var ref *Result
+	for _, shards := range []int{0, 1} {
+		r, err := Run(Options{
+			Scheme:   SchemeTPFTL,
+			Profile:  smallProfile(workload.Financial1()),
+			Requests: 5_000,
+			Seed:     3,
+			Shards:   shards,
+			Faults: &flash.FaultPlan{
+				Seed:        11,
+				ReadProb:    0.001,
+				ProgramProb: 0.001,
+				EraseProb:   0.001,
+			},
+		})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if r.M.InjectedFaults == 0 {
+			t.Fatalf("shards=%d: no faults observed; plan was not armed", shards)
+		}
+		if r.M.FaultRetries != r.M.InjectedFaults {
+			t.Fatalf("shards=%d: retries %d != injected %d: some transient faults were not retried",
+				shards, r.M.FaultRetries, r.M.InjectedFaults)
+		}
+		if ref == nil {
+			ref = r
+		} else if !reflect.DeepEqual(r.M, ref.M) {
+			t.Fatalf("shards=%d metrics diverge from shards=0:\n got  %+v\n want %+v", shards, r.M, ref.M)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ftl"
 	"repro/internal/obs"
-	"repro/internal/ssd"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -45,9 +44,7 @@ func obsParallelRun(t *testing.T, traceW, metricsW *bytes.Buffer) (ftl.Metrics, 
 	if metricsW != nil {
 		dev.SetMetricsExport(metricsW, 500)
 	}
-	if _, err := (ssd.Frontend{QueueDepth: 8}).Run(dev, reqs); err != nil {
-		t.Fatal(err)
-	}
+	admitAll(t, dev, 8, reqs)
 	m := dev.Metrics()
 	if err := dev.FinishObservability(); err != nil {
 		t.Fatal(err)
@@ -107,36 +104,52 @@ func TestObservabilityExportsDeterministic(t *testing.T) {
 
 // TestSimRunObservabilityOptions drives the sinks through sim.Run's options
 // (the path cmd/ftlsim uses): exports must be armed only for the measured
-// phase, so snapshot counters line up with the result's metrics.
+// phase, so snapshot counters line up with the result's metrics. A single
+// shard routed through the host by Shards: 1 must export byte-identical
+// files.
 func TestSimRunObservabilityOptions(t *testing.T) {
-	var traceBuf, metricsBuf bytes.Buffer
-	o := goldenOptions(SchemeTPFTL)
-	o.MetricsOut = &metricsBuf
-	o.MetricsInterval = 900
-	o.TraceOut = &traceBuf
-	r, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obs.ValidateMetricsJSONL(bytes.NewReader(metricsBuf.Bytes())); err != nil {
-		t.Fatalf("sim.Run metrics export fails validation: %v", err)
-	}
-	if _, err := obs.ValidateTrace(bytes.NewReader(traceBuf.Bytes())); err != nil {
-		t.Fatalf("sim.Run trace export fails validation: %v", err)
-	}
-	// The final snapshot's cumulative counters are the measured phase's
-	// totals: warm-up happened before the sinks were armed.
-	lines := bytes.Split(bytes.TrimSpace(metricsBuf.Bytes()), []byte("\n"))
-	last := lines[len(lines)-1]
-	want := r.M.Counters()
-	var got struct {
-		Total obs.Counters `json:"total"`
-	}
-	if err := json.Unmarshal(last, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Total != want {
-		t.Fatalf("final snapshot totals diverge from the run's metrics\n got %+v\nwant %+v", got.Total, want)
+	var refTrace, refMetrics []byte
+	for _, shards := range []int{0, 1} {
+		var traceBuf, metricsBuf bytes.Buffer
+		o := goldenOptions(SchemeTPFTL)
+		o.Shards = shards
+		o.MetricsOut = &metricsBuf
+		o.MetricsInterval = 900
+		o.TraceOut = &traceBuf
+		r, err := Run(o)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if _, err := obs.ValidateMetricsJSONL(bytes.NewReader(metricsBuf.Bytes())); err != nil {
+			t.Fatalf("shards=%d: sim.Run metrics export fails validation: %v", shards, err)
+		}
+		if _, err := obs.ValidateTrace(bytes.NewReader(traceBuf.Bytes())); err != nil {
+			t.Fatalf("shards=%d: sim.Run trace export fails validation: %v", shards, err)
+		}
+		// The final snapshot's cumulative counters are the measured phase's
+		// totals: warm-up happened before the sinks were armed.
+		lines := bytes.Split(bytes.TrimSpace(metricsBuf.Bytes()), []byte("\n"))
+		last := lines[len(lines)-1]
+		want := r.M.Counters()
+		var got struct {
+			Total obs.Counters `json:"total"`
+		}
+		if err := json.Unmarshal(last, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Total != want {
+			t.Fatalf("shards=%d: final snapshot totals diverge from the run's metrics\n got %+v\nwant %+v", shards, got.Total, want)
+		}
+		if refTrace == nil {
+			refTrace, refMetrics = traceBuf.Bytes(), metricsBuf.Bytes()
+			continue
+		}
+		if !bytes.Equal(metricsBuf.Bytes(), refMetrics) {
+			t.Errorf("shards=%d: metrics JSONL differs from shards=0", shards)
+		}
+		if !bytes.Equal(traceBuf.Bytes(), refTrace) {
+			t.Errorf("shards=%d: span trace differs from shards=0", shards)
+		}
 	}
 }
 

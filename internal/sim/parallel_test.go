@@ -141,10 +141,20 @@ func parallelRun(t *testing.T, s Scheme, qd int) (ftl.Metrics, uint64) {
 		ReadProb:    0.001,
 		ProgramProb: 0.001,
 	})
-	if _, err := (ssd.Frontend{QueueDepth: qd}).Run(dev, reqs); err != nil {
-		t.Fatal(err)
-	}
+	admitAll(t, dev, qd, reqs)
 	return dev.Metrics(), dev.Scheduler().EventHash()
+}
+
+// admitAll feeds reqs in order to dev through a fresh ssd.Admitter of the
+// given queue depth.
+func admitAll(t *testing.T, dev *ftl.Device, qd int, reqs []trace.Request) {
+	t.Helper()
+	a := ssd.NewAdmitter(qd, dev.Now())
+	for i, r := range reqs {
+		if _, err := a.Admit(dev, r); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
 }
 
 // TestSchedulerDeterminism runs the same seeded workload with the same fault

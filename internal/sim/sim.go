@@ -15,6 +15,7 @@ import (
 	"repro/internal/ftl/optimal"
 	"repro/internal/ftl/sftl"
 	"repro/internal/ftl/zftl"
+	"repro/internal/host"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
 	"repro/internal/ssd"
@@ -66,9 +67,9 @@ type Options struct {
 	// is consumed once (warm-up prefix first when ResetAfterWarmup is set);
 	// mutually exclusive with Trace.
 	TraceStream trace.Iterator
-	// StreamBatch is the number of requests pulled from TraceStream per
-	// batch (default DefaultStreamBatch). A wall-clock/memory knob only:
-	// simulated results are independent of it.
+	// StreamBatch is the number of requests pulled from the source, and
+	// handed to a shard, per batch (default host.DefaultBatch). A
+	// wall-clock/memory knob only: simulated results are independent of it.
 	StreamBatch int
 
 	// CacheBytes is the mapping-cache budget. Zero selects the paper's
@@ -88,17 +89,20 @@ type Options struct {
 	// TransPlacement places translation blocks on a multi-channel device:
 	// striped across all dies (default) or pinned to channel 0.
 	TransPlacement ftl.TPPlacement
-	// Shards, when >= 1, routes the run through the sharded multi-queue
-	// host frontend (internal/host): the LPN space is striped across this
-	// many independent FTL instances — per-shard translator, mapping
-	// cache, GC and scheduler clock — served by concurrent client
-	// goroutines. 0 keeps the legacy single-device path; 1 routes through
-	// the host but reproduces the serial results bit-for-bit.
+	// Shards stripes the LPN space across this many independent FTL
+	// instances — per-shard translator, mapping cache, GC and scheduler
+	// clock — behind the multi-queue host frontend (internal/host). Every
+	// run replays through that host; 0 and 1 both mean one device, served
+	// on the calling goroutine, with bit-for-bit the same metrics. They
+	// differ only in the Result's shape: 0 reports no per-shard results and
+	// a zero Digest. With 2 or more, each shard is served by its own
+	// goroutine; cache sampling, observability export and fault plans are
+	// per-device and need a single shard.
 	Shards int
-	// Clients is the number of concurrent submitter goroutines feeding
-	// the sharded host (minimum, and default, one per shard). The client
-	// topology is a wall-clock knob only: simulated results are
-	// bit-for-bit independent of it. Ignored without Shards.
+	// Clients is the number of concurrent submitter goroutines feeding a
+	// host of 2 or more shards (minimum, and default, one per shard). The
+	// client topology is a wall-clock knob only: simulated results are
+	// bit-for-bit independent of it. A single shard ignores it.
 	Clients int
 	// QueueDepth bounds in-flight requests (closed loop; per shard when
 	// sharded). 0 selects 1, the scalar-clock compatibility default,
@@ -147,8 +151,9 @@ type Options struct {
 	// as it serves — readable concurrently through the plane's HTTP/expvar
 	// surfaces while the run is in flight. Publication cadence is keyed to
 	// served-request counts, so every simulated metric, EventHash and Digest
-	// is bit-for-bit identical with the plane attached or not. Works on the
-	// legacy path and with Shards.
+	// is bit-for-bit identical with the plane attached or not. The cells
+	// attach after preconditioning, so they cover warm-up and the measured
+	// phase.
 	Telemetry *live.Plane
 }
 
@@ -172,13 +177,26 @@ type Result struct {
 	M          ftl.Metrics
 	Samples    []Sample
 	TraceStats trace.Stats
-	// Shards holds the per-shard results of a sharded run
-	// (Options.Shards >= 1) in shard order; nil on the legacy path.
+	// Shards holds the per-shard results in shard order; nil when
+	// Options.Shards is 0.
 	Shards []ShardRun
 	// Digest folds the per-shard event hashes into one value that is
 	// insensitive to how shard executions interleaved in wall time (see
-	// host.Digest); 0 on the legacy path.
+	// host.Digest); 0 when Options.Shards is 0.
 	Digest uint64
+}
+
+// ShardRun is one shard's slice of a run's outcome.
+type ShardRun struct {
+	Shard int
+	// M is the shard device's measured-phase metrics.
+	M ftl.Metrics
+	// EventHash is the shard scheduler's order-sensitive event hash.
+	EventHash uint64
+	// FS is the shard frontend's queueing statistics — the same snapshot
+	// struct the live telemetry plane publishes, so the ftlsim report table
+	// and a live scrape agree.
+	FS ssd.FrontendStats
 }
 
 // FullTableBytes returns the size of the entire page-level mapping table for
@@ -187,21 +205,10 @@ func FullTableBytes(addressSpace int64) int64 {
 	return addressSpace / ftl.DefaultPageBytes * ftl.EntryBytesRAM
 }
 
-// DefaultStreamBatch is the per-pull batch size of a TraceStream replay when
-// Options.StreamBatch is zero.
+// DefaultStreamBatch is a pull size for callers that drain a trace.Iterator
+// themselves: large enough that per-pull overhead vanishes, small enough
+// that the batch buffer stays a few hundred KiB.
 const DefaultStreamBatch = 4096
-
-// streamMaxEnd returns the address-space high-water hint a streamed source
-// carries (trace.Stream exposes its binary header's MaxEnd), 0 if unknown.
-// It lets a streamed run size its preconditioning footprint without a
-// pre-pass over the trace.
-func streamMaxEnd(it trace.Iterator) int64 {
-	type maxEnder interface{ MaxEnd() int64 }
-	if m, ok := it.(maxEnder); ok {
-		return m.MaxEnd()
-	}
-	return 0
-}
 
 // NewTranslator constructs the translator for a scheme.
 func NewTranslator(s Scheme, cacheBytes int64, logicalPages int64, tpftlCfg *core.Config) (ftl.Translator, error) {
@@ -230,8 +237,16 @@ func NewTranslator(s Scheme, cacheBytes int64, logicalPages int64, tpftlCfg *cor
 	}
 }
 
-// Run executes one simulation.
+// Run executes one simulation. Every run is one pipeline: the request
+// source — a replayed trace, a streamed one, or a generated profile — is an
+// iterator, replayed through the host frontend (internal/host) over
+// max(1, Shards) formatted, preconditioned and warmed devices, each of which
+// admits through its own ssd.Admitter and passes a post-run consistency
+// check.
 func Run(o Options) (*Result, error) {
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	space := o.Profile.AddressSpace
 	if o.AddressSpace != 0 {
 		space = o.AddressSpace
@@ -260,259 +275,237 @@ func Run(o Options) (*Result, error) {
 	devCfg.Dies = o.Dies
 	devCfg.TransPlacement = o.TransPlacement
 
-	if o.Trace != nil && o.TraceStream != nil {
-		return nil, fmt.Errorf("sim: Trace and TraceStream are mutually exclusive")
-	}
-
-	if o.Shards > 0 {
-		return runSharded(o, devCfg, profile, cacheBytes)
-	}
-
-	tr, err := NewTranslator(o.Scheme, cacheBytes, devCfg.LogicalPages(), o.TPFTL)
+	src, maxEnd, total, err := o.source(profile)
 	if err != nil {
 		return nil, err
 	}
-	dev, err := ftl.NewDevice(devCfg, tr)
+	shards := o.Shards
+	if shards == 0 {
+		shards = 1
+	}
+	lay, cfgs, err := host.ShardConfigs(devCfg, shards)
 	if err != nil {
 		return nil, err
 	}
-	if err := dev.Format(); err != nil {
-		return nil, err
+	// The TPFTL override's explicit cache budget is a whole-device number;
+	// split it like the implicit budget so ablation variants shard fairly.
+	tpftlCfg := o.TPFTL
+	if tpftlCfg != nil && tpftlCfg.CacheBytes > 0 && shards > 1 {
+		c := *tpftlCfg
+		c.CacheBytes /= int64(shards)
+		if c.CacheBytes < ftl.EntryBytesRAM {
+			c.CacheBytes = ftl.EntryBytesRAM
+		}
+		tpftlCfg = &c
 	}
+	// Age only the workload's footprint: the cold remainder stays in its
+	// pristine fully-valid blocks, exactly where a long-running device's GC
+	// would have consolidated it. A replayed trace clips the footprint to
+	// its own address high-water mark.
+	footBytes := profile.FootprintBytes()
+	if maxEnd > 0 && maxEnd < footBytes {
+		footBytes = maxEnd
+	}
+	footPages := footBytes / int64(devCfg.PageSize)
 
-	reqs := o.Trace
-	if reqs == nil && o.TraceStream == nil {
-		reqs, err = workload.Generate(profile, o.Requests, o.Seed)
+	devs := make([]*ftl.Device, shards)
+	trs := make([]ftl.Translator, shards)
+	for s := range devs {
+		tr, err := NewTranslator(o.Scheme, cfgs[s].CacheBytes, cfgs[s].LogicalPages(), tpftlCfg)
 		if err != nil {
 			return nil, err
 		}
-	}
-	stats := trace.Summarize(reqs)
-
-	var liveCell *live.Cell
-	if o.Telemetry != nil {
-		cells := o.Telemetry.StartRun(live.RunInfo{
-			Scheme:        string(o.Scheme),
-			Workload:      profile.Name,
-			Shards:        1,
-			TotalRequests: expectedRequests(o, reqs),
-		})
-		liveCell = cells[0]
-		dev.SetLive(liveCell)
-	}
-
-	if o.Precondition > 0 {
-		// Age only the workload's footprint: the cold remainder stays in
-		// its pristine fully-valid blocks, exactly where a long-running
-		// device's GC would have consolidated it. For replayed traces the
-		// footprint is taken from the trace's own address high-water mark
-		// (a streamed source's header hint, when it carries one).
-		footBytes := profile.FootprintBytes()
-		if o.Trace != nil && stats.MaxEnd > 0 && stats.MaxEnd < footBytes {
-			footBytes = stats.MaxEnd
-		}
-		if o.TraceStream != nil {
-			if me := streamMaxEnd(o.TraceStream); me > 0 && me < footBytes {
-				footBytes = me
-			}
-		}
-		footPages := footBytes / int64(devCfg.PageSize)
-		writes := int(o.Precondition * float64(footPages))
-		if err := dev.PreconditionRange(writes, footPages, o.Seed+1); err != nil {
+		dev, err := ftl.NewDevice(cfgs[s], tr)
+		if err != nil {
 			return nil, err
 		}
-		dev.ResetMetrics()
-	}
-	// Warm after preconditioning: the optimal FTL snapshots the live
-	// mapping (it holds the authoritative table in RAM and never reads
-	// the persisted translation pages).
-	if w, ok := tr.(ftl.Warmer); ok {
-		w.Warm(dev.Truth)
+		if err := dev.Format(); err != nil {
+			return nil, err
+		}
+		if o.Precondition > 0 {
+			// The striping is chunk-interleaved, so a footprint prefix of
+			// the global space maps to a prefix of every shard's space.
+			image := lay.ImagePages(s, footPages)
+			writes := int(o.Precondition * float64(image))
+			if err := dev.PreconditionRange(writes, image, o.Seed+1+int64(s)); err != nil {
+				return nil, err
+			}
+			dev.ResetMetrics()
+		}
+		// Warm after preconditioning: the optimal FTL snapshots the live
+		// mapping (it holds the authoritative table in RAM and never reads
+		// the persisted translation pages).
+		if w, ok := tr.(ftl.Warmer); ok {
+			w.Warm(dev.Truth)
+		}
+		devs[s], trs[s] = dev, tr
 	}
 
 	res := &Result{
 		Scheme:     o.Scheme,
 		Workload:   profile.Name,
 		CacheBytes: cacheBytes,
-		TraceStats: stats,
 	}
-	if t, ok := tr.(*core.FTL); ok {
+	if t, ok := trs[0].(*core.FTL); ok {
 		res.Variant = t.Variant()
 	}
-
-	if o.SampleEvery > 0 {
-		insp, ok := tr.(ftl.Inspector)
-		if ok {
-			dev.SampleEvery = o.SampleEvery
-			dev.OnSample = func(n int64) {
-				s := insp.Snapshot()
-				sample := Sample{
-					PageAccesses: n,
-					Entries:      s.Entries,
-					TPNodes:      s.TPNodes,
-					DirtyEntries: s.DirtyEntries,
-					DirtyHist:    map[int]int{},
-				}
-				for _, d := range s.DirtyPerPage {
-					sample.DirtyHist[d]++
-				}
-				res.Samples = append(res.Samples, sample)
+	if insp, ok := trs[0].(ftl.Inspector); ok && o.SampleEvery > 0 {
+		devs[0].SampleEvery = o.SampleEvery
+		devs[0].OnSample = func(n int64) {
+			s := insp.Snapshot()
+			sample := Sample{
+				PageAccesses: n,
+				Entries:      s.Entries,
+				TPNodes:      s.TPNodes,
+				DirtyEntries: s.DirtyEntries,
+				DirtyHist:    map[int]int{},
 			}
+			for _, d := range s.DirtyPerPage {
+				sample.DirtyHist[d]++
+			}
+			res.Samples = append(res.Samples, sample)
 		}
 	}
 
-	// Admission policy: the legacy scalar path (Device.Run, queue depth 1)
-	// stays the default so baseline metrics are reproduced bit-for-bit; an
-	// explicit deeper queue or open-loop arrival replay routes through the
-	// ssd.Frontend, which admits each request against the completion heap.
-	qd := o.QueueDepth
-	if qd <= 0 {
-		qd = 1
-	}
-	useFrontend := o.OpenLoop || qd > 1
-	feDepth := qd
-	if o.OpenLoop {
-		feDepth = 0
-	}
-	runReqs := func(rs []trace.Request) (ssd.FrontendStats, error) {
-		if !useFrontend {
-			_, err := dev.Run(rs)
-			return ssd.FrontendStats{}, err
-		}
-		fe := ssd.Frontend{QueueDepth: feDepth, Live: liveCell}
-		return fe.Run(dev, rs)
-	}
-	// serveStream drains one phase (warm-up prefix or measured remainder) of
-	// the streamed source in StreamBatch pulls. The serial path calls
-	// Device.Serve per request — exactly what Device.Run does over a slice —
-	// and a queued phase gets a fresh ssd.Admitter, mirroring runReqs' fresh
-	// Frontend per call, so streamed results are bit-for-bit the eager ones.
-	var acc trace.StatsAccum
-	var streamBuf []trace.Request
-	serveStream := func(it trace.Iterator) (ssd.FrontendStats, error) {
-		if streamBuf == nil {
-			b := o.StreamBatch
-			if b <= 0 {
-				b = DefaultStreamBatch
-			}
-			streamBuf = make([]trace.Request, b)
-		}
-		var adm *ssd.Admitter
-		if useFrontend {
-			adm = ssd.NewAdmitter(feDepth)
-			adm.SetLive(liveCell)
-		}
-		idx := 0
-		for {
-			n, err := it.Next(streamBuf)
-			for i := 0; i < n; i++ {
-				r := streamBuf[i]
-				acc.Add(r)
-				if useFrontend {
-					if _, aerr := adm.Admit(dev, r); aerr != nil {
-						return adm.Stats(), fmt.Errorf("ssd: request %d: %w", idx, aerr)
-					}
-				} else if _, serr := dev.Serve(r); serr != nil {
-					return ssd.FrontendStats{}, fmt.Errorf("request %d: %w", idx, serr)
-				}
-				idx++
-			}
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				var st ssd.FrontendStats
-				if adm != nil {
-					st = adm.Stats()
-				}
-				return st, err
-			}
-		}
-		if adm != nil {
-			return adm.Stats(), nil
-		}
-		return ssd.FrontendStats{}, nil
-	}
-
-	warm := o.ResetAfterWarmup
-	if warm > 0 {
-		if o.TraceStream != nil {
-			if _, err := serveStream(trace.Limit(o.TraceStream, int64(warm))); err != nil {
-				return nil, fmt.Errorf("sim: %s/%s warm-up: %w", o.Scheme, profile.Name, err)
-			}
-		} else {
-			if warm > len(reqs) {
-				warm = len(reqs)
-			}
-			if _, err := runReqs(reqs[:warm]); err != nil {
-				return nil, fmt.Errorf("sim: %s/%s warm-up: %w", o.Scheme, profile.Name, err)
-			}
-			reqs = reqs[warm:]
-		}
-		dev.ResetMetrics()
-	}
-	if o.Faults != nil {
-		dev.Chip().SetFaultPlan(o.Faults)
-	}
-	// Arm the observability sinks only for the measured phase (after
-	// warm-up's ResetMetrics), so exports describe what the result reports.
-	if o.TraceOut != nil {
-		dev.SetTracer(obs.NewTracer(o.TraceOut))
-	}
-	if o.MetricsOut != nil {
-		interval := o.MetricsInterval
-		if interval <= 0 {
-			interval = 1000
-		}
-		dev.SetMetricsExport(o.MetricsOut, int64(interval))
-	}
-	var fst ssd.FrontendStats
-	if o.TraceStream != nil {
-		fst, err = serveStream(o.TraceStream)
-	} else {
-		fst, err = runReqs(reqs)
-	}
+	h, err := host.New(lay, devs, host.Options{QueueDepth: o.QueueDepth, OpenLoop: o.OpenLoop})
 	if err != nil {
-		return nil, fmt.Errorf("sim: %s/%s: %w", o.Scheme, profile.Name, err)
+		return nil, err
 	}
-	if o.TraceStream != nil {
-		res.TraceStats = acc.Stats()
-	}
-	res.M = dev.Metrics()
-	// Final epoch so a scrape after the run reads the exact end-of-run
-	// totals rather than the last cadence boundary.
-	dev.PublishLive()
-	if err := dev.FinishObservability(); err != nil {
-		return nil, fmt.Errorf("sim: %s/%s observability flush: %w", o.Scheme, profile.Name, err)
-	}
-	if useFrontend {
-		res.M.MaxQueueDepth = fst.MaxDepth
-		res.M.QueueDepthSum = fst.DepthSum
+	if o.Telemetry != nil {
+		// One cell per shard; warm-up and the measured phase both publish
+		// (the warm-up reset folds into each cell's monotonic base).
+		h.SetLive(o.Telemetry.StartRun(live.RunInfo{
+			Scheme:        string(o.Scheme),
+			Workload:      profile.Name,
+			Shards:        shards,
+			TotalRequests: total,
+		}))
 	}
 
-	// Consistency is part of every run: a scheme that survives the trace
-	// but corrupted its mapping must not produce results.
-	if err := dev.CheckConsistency(dirtySetOf(tr)); err != nil {
-		return nil, fmt.Errorf("sim: %s/%s post-run consistency: %w", o.Scheme, profile.Name, err)
+	// Trace statistics accumulate as the replay pulls batches through the
+	// source, warm-up prefix included.
+	var acc trace.StatsAccum
+	src = &statsIter{it: src, acc: &acc}
+	replay := func(it trace.Iterator, phase string) (*host.Outcome, error) {
+		out, err := h.ReplayStream(it, host.ReplayOptions{Clients: o.Clients, Batch: o.StreamBatch})
+		if err != nil {
+			return nil, fmt.Errorf("sim: %s/%s%s: %w", o.Scheme, profile.Name, phase, err)
+		}
+		return out, nil
+	}
+	if o.ResetAfterWarmup > 0 {
+		if _, err := replay(trace.Limit(src, int64(o.ResetAfterWarmup)), " warm-up"); err != nil {
+			return nil, err
+		}
+		for _, dev := range devs {
+			dev.ResetMetrics()
+		}
+	}
+	// Faults and the observability sinks are armed only for the measured
+	// phase (after warm-up's ResetMetrics), so fault indexes land in the
+	// measured workload and exports describe what the result reports.
+	for _, dev := range devs {
+		if o.Faults != nil {
+			dev.Chip().SetFaultPlan(o.Faults)
+		}
+		if o.TraceOut != nil {
+			dev.SetTracer(obs.NewTracer(o.TraceOut))
+		}
+		if o.MetricsOut != nil {
+			interval := o.MetricsInterval
+			if interval <= 0 {
+				interval = 1000
+			}
+			dev.SetMetricsExport(o.MetricsOut, int64(interval))
+		}
+	}
+	out, err := replay(src, "")
+	if err != nil {
+		return nil, err
+	}
+	res.TraceStats = acc.Stats()
+	if o.Shards == 0 {
+		res.M = out.Shards[0].M
+	} else {
+		res.M = out.M
+		res.Digest = out.Digest
+		res.Shards = make([]ShardRun, len(out.Shards))
+		for i, sr := range out.Shards {
+			res.Shards[i] = ShardRun{Shard: sr.Shard, M: sr.M, EventHash: sr.EventHash, FS: sr.FS}
+		}
+	}
+
+	for s, dev := range devs {
+		if err := dev.FinishObservability(); err != nil {
+			return nil, fmt.Errorf("sim: %s/%s observability flush: %w", o.Scheme, profile.Name, err)
+		}
+		// Consistency is part of every run: a scheme that survives the
+		// trace but corrupted its mapping must not produce results.
+		if err := dev.CheckConsistency(dirtySetOf(trs[s])); err != nil {
+			return nil, fmt.Errorf("sim: %s/%s shard %d post-run consistency: %w", o.Scheme, profile.Name, s, err)
+		}
 	}
 	return res, nil
 }
 
-// expectedRequests returns the run's total request count when known, 0
-// otherwise — the live plane's ETA denominator. A streamed source carries a
-// record count only when its header does (trace.Stream.Records).
-func expectedRequests(o Options, eager []trace.Request) int64 {
-	if o.TraceStream != nil {
-		type recordser interface{ Records() int64 }
-		if r, ok := o.TraceStream.(recordser); ok {
-			return r.Records()
+// validate rejects options no run can honour, before anything is built.
+func (o Options) validate() error {
+	switch {
+	case o.Requests < 0:
+		return fmt.Errorf("sim: negative request count %d", o.Requests)
+	case o.Shards < 0:
+		return fmt.Errorf("sim: negative shard count %d", o.Shards)
+	case o.CacheBytes < 0:
+		return fmt.Errorf("sim: negative cache budget %d B", o.CacheBytes)
+	case o.CacheFraction < 0:
+		return fmt.Errorf("sim: negative cache fraction %v", o.CacheFraction)
+	case o.Trace != nil && o.TraceStream != nil:
+		return fmt.Errorf("sim: Trace and TraceStream are mutually exclusive")
+	case o.Shards > 1 && (o.SampleEvery > 0 || o.MetricsOut != nil || o.TraceOut != nil || o.Faults != nil):
+		return fmt.Errorf("sim: cache sampling, observability export and fault plans are per-device; not supported with Shards > 1")
+	}
+	return nil
+}
+
+// source returns the run's request stream, the address high-water mark a
+// replayed trace carries (its slice summary, or a streamed source's header
+// hint; 0 when unknown or generated), and the request count when known (0
+// otherwise — the live plane's ETA denominator).
+func (o Options) source(profile workload.Profile) (it trace.Iterator, maxEnd, total int64, err error) {
+	switch {
+	case o.TraceStream != nil:
+		// trace.Stream carries both hints in its binary header.
+		if h, ok := o.TraceStream.(interface{ MaxEnd() int64 }); ok {
+			maxEnd = h.MaxEnd()
 		}
-		return 0
+		if h, ok := o.TraceStream.(interface{ Records() int64 }); ok {
+			total = h.Records()
+		}
+		return o.TraceStream, maxEnd, total, nil
+	case o.Trace != nil:
+		return trace.NewSliceIterator(o.Trace), trace.Summarize(o.Trace).MaxEnd, int64(len(o.Trace)), nil
 	}
-	if eager != nil {
-		return int64(len(eager))
+	g, err := workload.NewGenerator(profile, o.Seed)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	return int64(o.Requests)
+	return g.Iterator(o.Requests), 0, int64(o.Requests), nil
+}
+
+// statsIter passes batches through from a request source while folding each
+// request into a StatsAccum. Only the replay's routing goroutine calls Next,
+// so the accumulator needs no synchronization.
+type statsIter struct {
+	it  trace.Iterator
+	acc *trace.StatsAccum
+}
+
+func (s *statsIter) Next(batch []trace.Request) (int, error) {
+	n, err := s.it.Next(batch)
+	for i := 0; i < n; i++ {
+		s.acc.Add(batch[i])
+	}
+	return n, err
 }
 
 // dirtySetOf extracts the dirty cached entries from any scheme that exposes

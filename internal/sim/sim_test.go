@@ -1,8 +1,13 @@
 package sim
 
 import (
+	"io"
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/flash"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -194,20 +199,107 @@ func TestNormalizeToDFTL(t *testing.T) {
 }
 
 func TestSamplingProducesSamples(t *testing.T) {
-	r, err := Run(Options{
-		Scheme: SchemeDFTL, Profile: smallProfile(workload.Financial1()),
-		Requests: 8_000, Seed: 5, SampleEvery: 1_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Samples) < 5 {
-		t.Fatalf("samples = %d", len(r.Samples))
-	}
-	for _, s := range r.Samples {
-		if s.TPNodes < 0 || s.Entries < s.TPNodes {
-			t.Fatalf("bad sample %+v", s)
+	var ref []Sample
+	for _, shards := range []int{0, 1} {
+		r, err := Run(Options{
+			Scheme: SchemeDFTL, Profile: smallProfile(workload.Financial1()),
+			Requests: 8_000, Seed: 5, SampleEvery: 1_000, Shards: shards,
+		})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
+		if len(r.Samples) < 5 {
+			t.Fatalf("shards=%d: samples = %d", shards, len(r.Samples))
+		}
+		for _, s := range r.Samples {
+			if s.TPNodes < 0 || s.Entries < s.TPNodes {
+				t.Fatalf("shards=%d: bad sample %+v", shards, s)
+			}
+		}
+		if ref == nil {
+			ref = r.Samples
+		} else if !reflect.DeepEqual(r.Samples, ref) {
+			t.Fatalf("shards=%d: samples diverge from shards=0", shards)
+		}
+	}
+}
+
+// TestRunRejectsBadOptions pins the input contract: options no run can
+// honour return an error — never a panic, and never a malformed request
+// handed to the device. A footprint smaller than the mean request (one
+// 4 KiB page) is valid and must run.
+func TestRunRejectsBadOptions(t *testing.T) {
+	p := smallProfile(workload.Financial1())
+	cases := []struct {
+		name    string
+		o       Options
+		wantErr bool
+	}{
+		{"negative requests", Options{Profile: p, Requests: -5}, true},
+		{"negative shards", Options{Profile: p, Requests: 100, Shards: -1}, true},
+		{"negative cache fraction", Options{Profile: p, Requests: 100, CacheFraction: -1}, true},
+		{"negative cache bytes", Options{Profile: p, Requests: 100, CacheBytes: -1}, true},
+		{"trace and stream", Options{Profile: p, Trace: []trace.Request{},
+			TraceStream: trace.NewSliceIterator(nil)}, true},
+		{"sampling on two shards", Options{Profile: p, Requests: 100, Shards: 2, SampleEvery: 10}, true},
+		{"export on two shards", Options{Profile: p, Requests: 100, Shards: 2, MetricsOut: io.Discard}, true},
+		{"faults on two shards", Options{Profile: p, Requests: 100, Shards: 2,
+			Faults: &flash.FaultPlan{Seed: 1, ReadProb: 0.01}}, true},
+		{"one-page footprint", Options{Profile: p, AddressSpace: 4096, Requests: 500}, false},
+		{"one-page footprint, one shard", Options{Profile: p, AddressSpace: 4096, Requests: 500, Shards: 1}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.o.Scheme = SchemeTPFTL
+			_, err := Run(c.o)
+			if (err != nil) != c.wantErr {
+				t.Fatalf("err = %v, want error %v", err, c.wantErr)
+			}
+		})
+	}
+}
+
+// TestSingleShardUnalignedCapacity pins the 1-shard identity on capacities
+// that are not a whole number of 4 MiB chunks: routing through the host with
+// Shards: 1 must accept them and reproduce the Shards: 0 metrics exactly.
+func TestSingleShardUnalignedCapacity(t *testing.T) {
+	for _, space := range []int64{64<<20 + 4096, 10 << 20, 3<<20 + 8192} {
+		var ref *Result
+		for _, shards := range []int{0, 1} {
+			r, err := Run(Options{
+				Scheme: SchemeTPFTL, Profile: workload.Financial1(), AddressSpace: space,
+				Requests: 3_000, Seed: 4, Precondition: 0.5, ResetAfterWarmup: 300, Shards: shards,
+			})
+			if err != nil {
+				t.Fatalf("space=%d shards=%d: %v", space, shards, err)
+			}
+			if ref == nil {
+				ref = r
+			} else if !reflect.DeepEqual(r.M, ref.M) {
+				t.Fatalf("space=%d: shards=1 metrics diverge from shards=0:\n got  %+v\n want %+v", space, r.M, ref.M)
+			}
+		}
+	}
+}
+
+// TestRunErrorNamesRequest pins error reporting: a request the host cannot
+// route names its index in the trace, and one that fails on the device also
+// names its shard.
+func TestRunErrorNamesRequest(t *testing.T) {
+	p := smallProfile(workload.Financial1())
+	reqs := []trace.Request{
+		{Offset: 0, Length: 4096, Op: trace.OpWrite},
+		{Offset: 4096, Length: 4096, Op: trace.OpRead},
+		{Offset: p.AddressSpace, Length: 4096, Op: trace.OpRead},
+	}
+	_, err := Run(Options{Scheme: SchemeTPFTL, Profile: p, Trace: reqs})
+	if err == nil || !strings.Contains(err.Error(), "request 2") {
+		t.Fatalf("out-of-range request: err = %v, want it to name request 2", err)
+	}
+	_, err = Run(Options{Scheme: SchemeTPFTL, Profile: p, Requests: 3_000, Seed: 5,
+		Faults: &flash.FaultPlan{Seed: 9, CutAtOp: 400}})
+	if err == nil || !strings.Contains(err.Error(), "shard 0: request ") {
+		t.Fatalf("power cut: err = %v, want it to name the shard and request", err)
 	}
 }
 

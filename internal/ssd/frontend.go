@@ -1,10 +1,8 @@
 package ssd
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/obs/live"
 	"repro/internal/trace"
 )
 
@@ -14,28 +12,6 @@ import (
 // machine); only the timing of requests overlaps.
 type Server interface {
 	ServeAt(req trace.Request, admit time.Duration) (complete time.Duration, err error)
-}
-
-// Frontend is the request-admission queue in front of a device. Two modes:
-//
-//   - open loop (QueueDepth == 0): every request is admitted at its trace
-//     arrival time, regardless of how many are still in flight — the
-//     backend's die windows absorb the burst. This replays
-//     trace.Request.Arrival semantics faithfully.
-//   - closed loop (QueueDepth == N > 0): at most N requests are in flight;
-//     request i+N is admitted at the later of its arrival and the earliest
-//     completion among the N outstanding — the standard QD-N driver.
-//
-// Closed loop at depth 1 is the scalar-clock behavior of Device.Serve, and
-// the default everywhere for compatibility with the pre-scheduler baselines.
-type Frontend struct {
-	// QueueDepth bounds the in-flight requests; zero or negative selects
-	// open loop.
-	QueueDepth int
-	// Live, when non-nil, receives the frontend's queueing statistics after
-	// each admission (atomic stores into the shard's telemetry cell; the
-	// admission schedule is unaffected).
-	Live *live.Cell
 }
 
 // FrontendStats summarizes one replay's queueing behavior. The zero value
@@ -62,28 +38,40 @@ func (s FrontendStats) MeanDepth() float64 {
 	return float64(s.DepthSum) / float64(s.Admitted)
 }
 
-// Admitter is the stateful form of a frontend replay: the admission queue
-// survives between calls, so a caller can feed requests one batch at a time
-// — a streamed trace — and still get exactly the schedule one Frontend.Run
-// over the concatenated stream would produce. Construct with NewAdmitter;
-// the zero value is a valid open-loop admitter.
+// Admitter is the request-admission queue in front of a device, fed one
+// request at a time. Two modes:
+//
+//   - open loop (queue depth 0): every request is admitted at its trace
+//     arrival time, regardless of how many are still in flight — the
+//     backend's die windows absorb the burst. This replays
+//     trace.Request.Arrival semantics faithfully.
+//   - closed loop (queue depth N > 0): at most N requests are in flight;
+//     request i+N is admitted at the later of its arrival and the earliest
+//     completion among the N outstanding — the standard QD-N driver.
+//
+// Closed loop at depth 1 is the scalar-clock behavior of Device.Serve, and
+// the default everywhere for compatibility with the pre-scheduler baselines.
+// Construct with NewAdmitter; the zero value is a valid open-loop admitter.
 type Admitter struct {
-	qd   int
-	q    EventQueue
-	st   FrontendStats
-	live *live.Cell
+	qd int
+	q  EventQueue
+	st FrontendStats
 }
 
 // NewAdmitter returns an admitter with the given queue depth (zero or
-// negative selects open loop, mirroring Frontend).
-func NewAdmitter(queueDepth int) *Admitter {
-	return &Admitter{qd: queueDepth}
+// negative selects open loop). now is the device clock the replay starts
+// from: a closed loop at depth 1 starts with it occupying the single slot,
+// so the first request is admitted no earlier than the device is idle — the
+// admit-at-now rule of Device.Serve, which keeps a replay that follows
+// preconditioning or a warm-up phase on the serial schedule. Deeper queues
+// and open loop start empty.
+func NewAdmitter(queueDepth int, now time.Duration) *Admitter {
+	a := &Admitter{qd: queueDepth}
+	if queueDepth == 1 {
+		a.q.Push(Event{Time: now})
+	}
+	return a
 }
-
-// SetLive attaches (or with nil, detaches) a telemetry cell: the queueing
-// statistics are published into it after every admission so live scrapes
-// see current depth numbers. Admission decisions are unchanged.
-func (a *Admitter) SetLive(c *live.Cell) { a.live = c }
 
 // Admit admits one request under the queue-depth policy and serves it on s.
 // Requests must arrive in non-decreasing trace order across all calls.
@@ -112,26 +100,8 @@ func (a *Admitter) Admit(s Server, r trace.Request) (time.Duration, error) {
 	if depth > a.st.MaxDepth {
 		a.st.MaxDepth = depth
 	}
-	if c := a.live; c != nil {
-		c.SetQueueStats(a.st.Admitted, a.st.DepthSum, a.st.MaxDepth)
-	}
 	return complete, nil
 }
 
 // Stats returns the queueing statistics accumulated so far.
 func (a *Admitter) Stats() FrontendStats { return a.st }
-
-// Run replays reqs against s under the frontend's admission policy and
-// returns the queueing stats. Requests must be in non-decreasing arrival
-// order (trace order). It is the eager form of an Admitter fed the same
-// stream.
-func (f Frontend) Run(s Server, reqs []trace.Request) (FrontendStats, error) {
-	a := NewAdmitter(f.QueueDepth)
-	a.SetLive(f.Live)
-	for i := range reqs {
-		if _, err := a.Admit(s, reqs[i]); err != nil {
-			return a.Stats(), fmt.Errorf("ssd: request %d: %w", i, err)
-		}
-	}
-	return a.Stats(), nil
-}

@@ -3,6 +3,7 @@ package ssd
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -13,7 +14,7 @@ func TestFrontendZeroRequests(t *testing.T) {
 	for _, qd := range []int{0, 1, 4} {
 		sched := NewScheduler(1, 1)
 		srv := &fakeServer{s: sched, lat: tProg}
-		st, err := Frontend{QueueDepth: qd}.Run(srv, nil)
+		st, err := admitAll(srv, qd, nil)
 		if err != nil {
 			t.Fatalf("qd=%d: %v", qd, err)
 		}
@@ -40,7 +41,7 @@ func TestFrontendOpenLoopDepthStats(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = trace.Request{Offset: int64(i) * 4096, Length: 4096}
 	}
-	st, err := Frontend{}.Run(srv, reqs)
+	st, err := admitAll(srv, 0, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +68,12 @@ func TestFrontendNegativeDepthIsOpenLoop(t *testing.T) {
 		return reqs
 	}
 	schedNeg := NewScheduler(2, 2)
-	stNeg, err := Frontend{QueueDepth: -3}.Run(&fakeServer{s: schedNeg, lat: tProg}, mk())
+	stNeg, err := admitAll(&fakeServer{s: schedNeg, lat: tProg}, -3, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
 	schedOpen := NewScheduler(2, 2)
-	stOpen, err := Frontend{}.Run(&fakeServer{s: schedOpen, lat: tProg}, mk())
+	stOpen, err := admitAll(&fakeServer{s: schedOpen, lat: tProg}, 0, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +91,37 @@ func TestFrontendClosedLoopMeanDepth(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = trace.Request{Offset: int64(i) * 4096, Length: 4096}
 	}
-	st, err := Frontend{QueueDepth: 1}.Run(srv, reqs)
+	st, err := admitAll(srv, 1, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.MaxDepth != 1 || st.MeanDepth() != 1 {
 		t.Fatalf("QD1 depth stats = %+v (mean %v), want constant 1", st, st.MeanDepth())
+	}
+}
+
+// TestAdmitterQD1StartsAtDeviceClock pins the depth-1 seed: a fresh QD1
+// admitter holds the device clock in its single slot, so a request that
+// arrived earlier is admitted when the device goes idle (Device.Serve's
+// admit-at-now rule), while a deeper queue starts empty and admits it at its
+// arrival on an idle die.
+func TestAdmitterQD1StartsAtDeviceClock(t *testing.T) {
+	for _, c := range []struct {
+		qd   int
+		want time.Duration
+	}{{1, 2 * tProg}, {4, tProg}} {
+		sched := NewScheduler(4, 1)
+		srv := &fakeServer{s: sched, lat: tProg}
+		if _, err := admitAll(srv, 1, []trace.Request{{Length: 4096}}); err != nil {
+			t.Fatal(err)
+		}
+		a := NewAdmitter(c.qd, sched.Now())
+		got, err := a.Admit(srv, trace.Request{Offset: 4096, Length: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Fatalf("qd=%d: completion %v, want %v", c.qd, got, c.want)
+		}
 	}
 }

@@ -145,6 +145,18 @@ func (f *fakeServer) ServeAt(_ trace.Request, admit time.Duration) (time.Duratio
 	return f.s.EndRequest(), nil
 }
 
+// admitAll feeds reqs in order through a fresh admitter of the given queue
+// depth, started at the scheduler's clock, and returns its queueing stats.
+func admitAll(srv *fakeServer, qd int, reqs []trace.Request) (FrontendStats, error) {
+	a := NewAdmitter(qd, srv.s.Now())
+	for _, r := range reqs {
+		if _, err := a.Admit(srv, r); err != nil {
+			return a.Stats(), err
+		}
+	}
+	return a.Stats(), nil
+}
+
 func TestFrontendClosedLoopDepthBound(t *testing.T) {
 	sched := NewScheduler(4, 1)
 	srv := &fakeServer{s: sched, lat: tProg}
@@ -152,7 +164,7 @@ func TestFrontendClosedLoopDepthBound(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = trace.Request{Offset: int64(i) * 4096, Length: 4096}
 	}
-	st, err := Frontend{QueueDepth: 4}.Run(srv, reqs)
+	st, err := admitAll(srv, 4, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +184,7 @@ func TestFrontendQD1MatchesScalarClock(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = trace.Request{Offset: int64(i) * 4096, Length: 4096}
 	}
-	if _, err := (Frontend{QueueDepth: 1}).Run(srv, reqs); err != nil {
+	if _, err := admitAll(srv, 1, reqs); err != nil {
 		t.Fatal(err)
 	}
 	// One at a time: no overlap even with 4 dies available.
@@ -190,7 +202,7 @@ func TestFrontendOpenLoopAdmitsAtArrival(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = trace.Request{Offset: int64(i) * 4096, Length: 4096}
 	}
-	st, err := Frontend{}.Run(srv, reqs)
+	st, err := admitAll(srv, 0, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ package workload
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 
@@ -359,7 +360,8 @@ func (g *Generator) Next() trace.Request {
 	}
 
 	// Request length: exponential around the mean, quantized to 512 B
-	// sectors, at least one sector, capped at 64 pages.
+	// sectors, at least one sector, capped at 64 pages and at the footprint
+	// (as nextTrim does), so a tiny footprint never yields an offset below 0.
 	length := int64(g.rng.ExpFloat64() * float64(p.AvgRequestBytes))
 	length = (length + sectorBytes - 1) / sectorBytes * sectorBytes
 	if length < sectorBytes {
@@ -368,12 +370,15 @@ func (g *Generator) Next() trace.Request {
 	if max := int64(64 * pageSize); length > max {
 		length = max
 	}
+	foot := p.footprintBytes()
+	if length > foot {
+		length = foot
+	}
 
 	pSeq := g.pStart[dir]
 	if g.wasSeq[dir] {
 		pSeq = g.pCont[dir]
 	}
-	foot := p.footprintBytes()
 	seq := g.rng.Float64() < pSeq && g.prevEnd >= 0 && g.prevEnd+length <= foot
 	g.wasSeq[dir] = seq
 
@@ -482,8 +487,38 @@ func (g *Generator) Generate(n int) []trace.Request {
 	return out
 }
 
+// Iterator returns the generator's next n requests as a trace.Iterator:
+// exactly the requests Generate(n) would return, made as they are pulled,
+// so no slice of the whole workload is ever built.
+func (g *Generator) Iterator(n int) trace.Iterator {
+	return &genIter{g: g, left: n}
+}
+
+type genIter struct {
+	g    *Generator
+	left int
+}
+
+func (it *genIter) Next(batch []trace.Request) (int, error) {
+	if it.left <= 0 {
+		return 0, io.EOF
+	}
+	n := len(batch)
+	if n > it.left {
+		n = it.left
+	}
+	for i := 0; i < n; i++ {
+		batch[i] = it.g.Next()
+	}
+	it.left -= n
+	return n, nil
+}
+
 // Generate is a convenience wrapper: n requests from profile p with seed.
 func Generate(p Profile, n int, seed int64) ([]trace.Request, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("workload: negative request count %d", n)
+	}
 	g, err := NewGenerator(p, seed)
 	if err != nil {
 		return nil, err

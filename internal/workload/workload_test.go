@@ -150,6 +150,66 @@ func TestRequestsValid(t *testing.T) {
 	}
 }
 
+// TestRequestsInsideTinyFootprint pins the length clamp: on footprints
+// smaller than typical requests (down to a single page) every request still
+// lies wholly inside the footprint, never at a negative offset.
+func TestRequestsInsideTinyFootprint(t *testing.T) {
+	for _, p := range AllProfiles() {
+		for _, space := range []int64{4096, 8192, 3 * 4096, 64 << 10} {
+			p := p.Scale(space)
+			foot := p.FootprintBytes()
+			reqs, err := Generate(p, 2000, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range reqs {
+				if err := r.Validate(); err != nil {
+					t.Fatalf("%s@%d request %d: %v", p.Name, space, i, err)
+				}
+				if r.Op != trace.OpFlush && (r.Offset < 0 || r.End() > foot) {
+					t.Fatalf("%s@%d request %d: [%d,%d) outside footprint %d",
+						p.Name, space, i, r.Offset, r.End(), foot)
+				}
+			}
+		}
+	}
+}
+
+// TestIteratorMatchesGenerate pins the streamed form of the generator: n
+// requests pulled in ragged batches equal Generate(n) exactly.
+func TestIteratorMatchesGenerate(t *testing.T) {
+	p := FstrimHeavy().Scale(64 << 20)
+	want, err := Generate(p, 1000, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGenerator(p, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := g.Iterator(len(want))
+	var got []trace.Request
+	buf := make([]trace.Request, 77)
+	for {
+		n, err := it.Next(buf)
+		got = append(got, buf[:n]...)
+		if err != nil {
+			break
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("iterator yielded %d requests, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("request %d: iterator %+v, Generate %+v", i, got[i], want[i])
+		}
+	}
+	if _, err := Generate(p, -5, 9); err == nil {
+		t.Fatal("negative request count accepted")
+	}
+}
+
 // TestTemporalLocality verifies the Zipf skew: the hottest 20% of accessed
 // pages should absorb well over half the accesses for Financial profiles.
 func TestTemporalLocality(t *testing.T) {

@@ -557,14 +557,10 @@ func runCase(c benchCase, runs int, plane *live.Plane) (caseResult, error) {
 			return res, err
 		}
 		if plane != nil {
-			shards := c.Shards
-			if shards == 0 {
-				shards = 1
-			}
 			h.SetLive(plane.StartRun(live.RunInfo{
 				Scheme:        string(c.Scheme),
 				Workload:      c.Name,
-				Shards:        shards,
+				Shards:        h.Layout().Shards,
 				TotalRequests: int64(c.Requests),
 			}))
 		}

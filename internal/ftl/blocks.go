@@ -1,8 +1,6 @@
 package ftl
 
 import (
-	"container/heap"
-
 	"repro/internal/flash"
 )
 
@@ -218,10 +216,10 @@ func (bm *blockMgr) maybeEnqueue(blk flash.BlockID) {
 	}
 	if i := bm.heapIdx[blk]; i >= 0 {
 		bm.victims.items[i].invalid = invalid
-		heap.Fix(&bm.victims, i)
+		bm.victims.fix(i)
 		return
 	}
-	heap.Push(&bm.victims, victim{blk: blk, invalid: invalid})
+	bm.victims.push(victim{blk: blk, invalid: invalid})
 }
 
 // popVictim returns the next GC victim under the configured policy, or -1
@@ -230,8 +228,8 @@ func (bm *blockMgr) popVictim() flash.BlockID {
 	if bm.policy == GCCostBenefit {
 		return bm.popVictimCostBenefit()
 	}
-	for bm.victims.Len() > 0 {
-		v := heap.Pop(&bm.victims).(victim)
+	for len(bm.victims.items) > 0 {
+		v := bm.victims.pop()
 		bm.heapIdx[v.blk] = -1
 		if bm.chip.ValidCount(v.blk) == bm.chip.Config().PagesPerBlock {
 			continue // defensive; re-keying should prevent this
@@ -285,7 +283,7 @@ func (bm *blockMgr) popVictimCostBenefit() flash.BlockID {
 // heap coherent.
 func (bm *blockMgr) removeFromHeap(blk flash.BlockID) {
 	if i := bm.heapIdx[blk]; i >= 0 {
-		heap.Remove(&bm.victims, i)
+		bm.victims.remove(i)
 		bm.heapIdx[blk] = -1
 	}
 }
@@ -304,26 +302,82 @@ type victim struct {
 
 // victimHeap is an indexed max-heap over invalid counts; bm.heapIdx tracks
 // each block's position so keys can be fixed in place.
+//
+// It is hand-rolled over the victim slice rather than built on
+// container/heap, whose interface boxes every pushed and popped victim
+// through any: one allocation per GC enqueue and per victim pop. The sift
+// steps are container/heap's own, so blocks with equal invalid counts pop
+// in container/heap's order (TestVictimHeapMatchesContainerHeap).
 type victimHeap struct {
 	items []victim
 	bm    *blockMgr
 }
 
-func (h victimHeap) Len() int           { return len(h.items) }
-func (h victimHeap) Less(i, j int) bool { return h.items[i].invalid > h.items[j].invalid }
-func (h victimHeap) Swap(i, j int) {
+func (h *victimHeap) less(i, j int) bool { return h.items[i].invalid > h.items[j].invalid }
+
+func (h *victimHeap) swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
 	h.bm.heapIdx[h.items[i].blk] = i
 	h.bm.heapIdx[h.items[j].blk] = j
 }
-func (h *victimHeap) Push(x any) {
-	v := x.(victim)
+
+// push adds v.
+func (h *victimHeap) push(v victim) {
 	h.bm.heapIdx[v.blk] = len(h.items)
 	h.items = append(h.items, v)
+	h.up(len(h.items) - 1)
 }
-func (h *victimHeap) Pop() any {
-	n := len(h.items)
-	v := h.items[n-1]
-	h.items = h.items[:n-1]
+
+// pop removes and returns the victim with the most invalid pages.
+func (h *victimHeap) pop() victim { return h.remove(0) }
+
+// remove deletes the victim at index i and returns it.
+func (h *victimHeap) remove(i int) victim {
+	n := len(h.items) - 1
+	h.swap(i, n)
+	v := h.items[n]
+	h.items = h.items[:n]
+	if i < n {
+		h.fix(i)
+	}
 	return v
+}
+
+// fix restores the heap order after the key at index i changed.
+func (h *victimHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+func (h *victimHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts index i0 down and reports whether it moved.
+func (h *victimHeap) down(i0 int) bool {
+	i, n := i0, len(h.items)
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
 }

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 
@@ -93,6 +94,84 @@ func TestVictimHeapMatchesBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			bm.release(got)
+		}
+	}
+}
+
+// refHeap is the container/heap version of the victim heap, kept as the
+// reference for the hand-rolled one: ties on the invalid count make the pop
+// order depend on the exact sift steps, and a different order would move
+// every simulated number.
+type refHeap struct {
+	items []victim
+	idx   map[flash.BlockID]int
+}
+
+func (h *refHeap) Len() int           { return len(h.items) }
+func (h *refHeap) Less(i, j int) bool { return h.items[i].invalid > h.items[j].invalid }
+func (h *refHeap) Swap(i, j int) {
+	h.items[i], h.items[j] = h.items[j], h.items[i]
+	h.idx[h.items[i].blk] = i
+	h.idx[h.items[j].blk] = j
+}
+func (h *refHeap) Push(x any) {
+	v := x.(victim)
+	h.idx[v.blk] = len(h.items)
+	h.items = append(h.items, v)
+}
+func (h *refHeap) Pop() any {
+	v := h.items[len(h.items)-1]
+	h.items = h.items[:len(h.items)-1]
+	delete(h.idx, v.blk)
+	return v
+}
+
+// TestVictimHeapMatchesContainerHeap drives the victim heap and the
+// container/heap reference through the same random pushes, re-keys,
+// removals and pops over few distinct keys, so ties are common, and
+// requires identical layouts and pop results after every step.
+func TestVictimHeapMatchesContainerHeap(t *testing.T) {
+	const blocks = 64
+	bm := &blockMgr{heapIdx: make([]int, blocks)}
+	for i := range bm.heapIdx {
+		bm.heapIdx[i] = -1
+	}
+	got := victimHeap{bm: bm}
+	want := &refHeap{idx: map[flash.BlockID]int{}}
+	rng := rand.New(rand.NewSource(3))
+	for step := 0; step < 20_000; step++ {
+		blk := flash.BlockID(rng.Intn(blocks))
+		key := 1 + rng.Intn(4)
+		i, in := want.idx[blk]
+		switch op := rng.Intn(4); {
+		case op == 0 && len(want.items) > 0:
+			g, w := got.pop(), heap.Pop(want).(victim)
+			bm.heapIdx[g.blk] = -1
+			if g != w {
+				t.Fatalf("step %d: pop %+v, reference %+v", step, g, w)
+			}
+		case op == 1 && in:
+			g, w := got.remove(i), heap.Remove(want, i).(victim)
+			bm.heapIdx[g.blk] = -1
+			if g != w {
+				t.Fatalf("step %d: remove(%d) %+v, reference %+v", step, i, g, w)
+			}
+		case in:
+			got.items[i].invalid, want.items[i].invalid = key, key
+			got.fix(i)
+			heap.Fix(want, i)
+		default:
+			got.push(victim{blk: blk, invalid: key})
+			heap.Push(want, victim{blk: blk, invalid: key})
+		}
+		if len(got.items) != len(want.items) {
+			t.Fatalf("step %d: %d items, reference %d", step, len(got.items), len(want.items))
+		}
+		for j := range want.items {
+			if got.items[j] != want.items[j] || bm.heapIdx[want.items[j].blk] != j {
+				t.Fatalf("step %d: slot %d holds %+v (index %d), reference %+v",
+					step, j, got.items[j], bm.heapIdx[got.items[j].blk], want.items[j])
+			}
 		}
 	}
 }

@@ -37,7 +37,10 @@ type Device struct {
 	gtd []flash.PPN // VTPN → physical translation page
 	sh  shadow      // truth and persisted view of the mapping (verification)
 
-	tpBuf []flash.PPN // scratch returned by ReadTP
+	// moves is collect's reusable GC move list. GC never nests (maybeGC
+	// returns at once while inGC is set, and wear leveling collects one
+	// block at a time), and no translator retains the slice.
+	moves []GCMove
 
 	// sched is the event-driven clock of the parallel backend: flash
 	// operations are issued onto the die of their block and overlap when
@@ -116,7 +119,6 @@ func NewDevice(cfg Config, tr Translator) (*Device, error) {
 		logicalPages: logicalPages,
 		gtd:          make([]flash.PPN, numTPs),
 		sh:           newShadow(logicalPages, entriesPerTP),
-		tpBuf:        make([]flash.PPN, entriesPerTP),
 		sched:        ssd.NewScheduler(cfg.Channels, cfg.Dies),
 	}
 	seed := cfg.Seed
@@ -824,8 +826,11 @@ func (d *Device) NumTPs() int { return d.numTPs }
 func (d *Device) NumLPNs() int64 { return d.logicalPages }
 
 // ReadTP implements Env: it reads translation page v from flash and returns
-// its entries. If the page has never been written (unformatted device), no
-// flash operation is charged.
+// its entries, a read-only view of the verification shadow's persisted
+// content, not a copy. If the page has never been written (unformatted
+// device), no flash operation is charged.
+//
+//ftl:hotpath
 func (d *Device) ReadTP(v VTPN) ([]flash.PPN, error) {
 	if v < 0 || int(v) >= d.numTPs {
 		return nil, errf("ReadTP: vtpn %d out of range [0,%d)", v, d.numTPs)
@@ -846,11 +851,7 @@ func (d *Device) ReadTP(v VTPN) ([]flash.PPN, error) {
 			}
 		}
 	}
-	n := copy(d.tpBuf, d.sh.persistedTP(v))
-	for i := n; i < d.entriesPerTP; i++ {
-		d.tpBuf[i] = flash.InvalidPPN
-	}
-	return d.tpBuf, nil
+	return d.sh.persistedTP(v), nil
 }
 
 // WriteTP implements Env: a translation-page update. Without fullPage it is

@@ -3,6 +3,8 @@ package dftl
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // TestMissEvictCycleAllocBound pins DFTL's steady-state allocation behavior
@@ -10,7 +12,8 @@ import (
 // cache far smaller than the footprint misses, evicts and installs from a
 // recycled slab entry. Before the slab, every miss allocated a fresh entry —
 // the ~0.99 allocs/op the bench reported; after it the cycle runs out of the
-// free list, leaving only a small budget for map-internal incidentals.
+// free list, and with the entry map replaced by a dense index nothing is
+// left to allocate.
 func TestMissEvictCycleAllocBound(t *testing.T) {
 	if !allocGuardsEnabled {
 		t.Skip("allocation guards disabled under -race / -tags ftlsan")
@@ -31,15 +34,63 @@ func TestMissEvictCycleAllocBound(t *testing.T) {
 	const reads = 500
 	allocs := testing.AllocsPerRun(1, func() { serveRandom(reads) })
 	perOp := allocs / reads
-	const bound = 0.25
-	if perOp > bound {
-		t.Fatalf("miss+evict cycle allocates %.3f times per op, want <= %v", perOp, bound)
+	if perOp != 0 {
+		t.Fatalf("miss+evict cycle allocates %.3f times per op, want 0", perOp)
 	}
 	m := d.Metrics()
 	if m.Hits*2 > m.Lookups {
 		t.Fatalf("hit ratio %.2f too high; the guard did not exercise the miss path", float64(m.Hits)/float64(m.Lookups))
 	}
 	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWriteTrimGCCycleAllocFree pins DFTL's write, trim and GC paths at zero
+// allocations: on a warmed device, random writes plus 64-page trims over a
+// cache far smaller than the footprint keep evicting dirty entries, and the
+// writes force garbage collection, whose move list and per-page batches run
+// out of reused scratch. A per-collection move list or pending map would
+// show here as allocations.
+func TestWriteTrimGCCycleAllocFree(t *testing.T) {
+	if !allocGuardsEnabled {
+		t.Skip("allocation guards disabled under -race / -tags ftlsan")
+	}
+	d, tr := newDevice(t, 512)
+	rng := rand.New(rand.NewSource(13))
+	arrival := int64(0)
+	serve := func(n int) {
+		for i := 0; i < n; i++ {
+			req := wr(arrival, rng.Int63n(4096))
+			if rng.Intn(64) == 0 {
+				req = trace.Request{Arrival: arrival, Offset: rng.Int63n(4096-64) * 4096, Length: 64 * 4096, Op: trace.OpTrim}
+			}
+			if _, err := d.Serve(req); err != nil {
+				t.Fatal(err)
+			}
+			arrival++
+		}
+	}
+	serve(20_000) // grow the slab, the index and every scratch slice
+	before := d.Metrics()
+	const ops = 2_000
+	allocs := testing.AllocsPerRun(1, func() { serve(ops) })
+	after := d.Metrics()
+	if allocs != 0 {
+		t.Fatalf("write/trim/GC cycle allocates %.3f times per op, want 0", allocs/ops)
+	}
+	gcs := after.GCDataCollections - before.GCDataCollections
+	gcMisses := (after.GCMapUpdates - after.GCMapHits) - (before.GCMapUpdates - before.GCMapHits)
+	if gcs == 0 || gcMisses == 0 {
+		t.Fatalf("measured window ran %d data GCs with %d GC map misses; the guard did not exercise GC batching", gcs, gcMisses)
+	}
+	if after.TrimmedPages == before.TrimmedPages {
+		t.Fatal("measured window trimmed nothing")
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CheckConsistency(tr.DirtyCached()); err != nil {
 		t.Fatal(err)
 	}
 }

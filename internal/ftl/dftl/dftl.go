@@ -10,10 +10,18 @@
 // DFTL's key inefficiency. During GC, mapping updates for migrated data
 // pages that share a translation page are batched into one update, as in the
 // original DFTL design.
+//
+// The service path neither hashes nor allocates. Cached entries are found
+// through a dense table indexed by LPN, and the per-page writeback batches of
+// GC and flush barriers are sorted in scratch slices the translator owns.
+// Only DirtyCached and Snapshot build maps, because their interfaces return
+// them.
 package dftl
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/flash"
 	"repro/internal/ftl"
@@ -45,15 +53,29 @@ type FTL struct {
 	cfg      Config
 	capacity int // max cached entries
 
-	entries map[ftl.LPN]*entry
-	prob    lru.List[*entry] // probationary segment, MRU..LRU
-	prot    lru.List[*entry] // protected segment, MRU..LRU
+	// byLPN is the entry index: a dense table indexed by LPN (nil = not
+	// cached), grown by doubling as entries are installed and capped at
+	// the device's LPN count, so it costs at most 8 B per LPN. A map here
+	// put a hash lookup on every Translate and on every trimmed page's
+	// Discard, most of which miss. n counts the cached entries.
+	byLPN []*entry
+	n     int
+	prob  lru.List[*entry] // probationary segment, MRU..LRU
+	prot  lru.List[*entry] // protected segment, MRU..LRU
+
 	protCap int
 
 	// slab recycles entries and evictUp is the single-update writeback
 	// scratch, so the steady-state miss/evict cycle allocates nothing.
 	slab    entrySlab
 	evictUp [1]ftl.EntryUpdate
+
+	// gcBatch backs OnGCDataMoves' per-page writebacks and flushBatch
+	// FlushDirty's. They must be distinct: a flush writeback can trigger
+	// GC, which re-enters through OnGCDataMoves while the flush batch is
+	// still being written.
+	gcBatch    pageBatch
+	flushBatch pageBatch
 
 	ePerTP int // learned from the Env; snapshot grouping granularity
 }
@@ -76,7 +98,6 @@ func New(cfg Config) *FTL {
 	return &FTL{
 		cfg:      cfg,
 		capacity: capacity,
-		entries:  make(map[ftl.LPN]*entry, capacity),
 		protCap:  int(float64(capacity) * cfg.ProtectedFraction),
 		ePerTP:   ftl.DefaultEntriesPerTP,
 	}
@@ -89,15 +110,37 @@ func (f *FTL) Name() string { return "DFTL" }
 func (f *FTL) Capacity() int { return f.capacity }
 
 // Len returns the number of cached entries.
-func (f *FTL) Len() int { return len(f.entries) }
+func (f *FTL) Len() int { return f.n }
 
 // BeginRequest implements ftl.Translator. DFTL has no request-level state.
 func (f *FTL) BeginRequest(first, last ftl.LPN, write bool) {}
 
+// at returns the cached entry for lpn, or nil. The index only grows when an
+// entry is installed, so an LPN beyond the table is simply not cached.
+//
+//ftl:hotpath
+func (f *FTL) at(lpn ftl.LPN) *entry {
+	if lpn >= 0 && lpn < ftl.LPN(len(f.byLPN)) {
+		return f.byLPN[lpn]
+	}
+	return nil
+}
+
+// growIndex widens the entry index to hold lpn. Growth doubles, so
+// steady-state installs never reallocate, but never past the device's
+// numLPNs slots.
+func (f *FTL) growIndex(lpn ftl.LPN, numLPNs int64) {
+	nb := make([]*entry, max(int64(lpn)+1, min(2*int64(len(f.byLPN)), numLPNs)))
+	copy(nb, f.byLPN)
+	f.byLPN = nb
+}
+
 // Translate implements ftl.Translator.
+//
+//ftl:hotpath
 func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 	f.ePerTP = env.EntriesPerTP()
-	if e, ok := f.entries[lpn]; ok {
+	if e := f.at(lpn); e != nil {
 		env.NoteLookup(true)
 		f.touch(e)
 		return e.ppn, nil
@@ -115,13 +158,15 @@ func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 		return flash.InvalidPPN, err
 	}
 	ppn := vals[ftl.OffOf(lpn, env.EntriesPerTP())]
-	f.add(lpn, ppn, false)
+	f.add(env, lpn, ppn, false)
 	return ppn, nil
 }
 
 // Update implements ftl.Translator.
+//
+//ftl:hotpath
 func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
-	if e, ok := f.entries[lpn]; ok {
+	if e := f.at(lpn); e != nil {
 		e.ppn = ppn
 		e.dirty = true
 		f.touch(e)
@@ -132,7 +177,7 @@ func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
 	if err := f.reserve(env, 1); err != nil {
 		return err
 	}
-	f.add(lpn, ppn, true)
+	f.add(env, lpn, ppn, true)
 	return nil
 }
 
@@ -158,7 +203,7 @@ func (f *FTL) touch(e *entry) {
 
 // reserve evicts entries until n slots are free.
 func (f *FTL) reserve(env ftl.Env, n int) error {
-	for len(f.entries)+n > f.capacity {
+	for f.n+n > f.capacity {
 		if err := f.evictOne(env); err != nil {
 			return err
 		}
@@ -167,16 +212,34 @@ func (f *FTL) reserve(env ftl.Env, n int) error {
 }
 
 // add inserts a new entry; the caller must have reserved space.
-func (f *FTL) add(lpn ftl.LPN, ppn flash.PPN, dirty bool) {
+func (f *FTL) add(env ftl.Env, lpn ftl.LPN, ppn flash.PPN, dirty bool) {
+	if lpn >= ftl.LPN(len(f.byLPN)) {
+		f.growIndex(lpn, env.NumLPNs())
+	}
 	e := f.slab.get()
 	e.lpn, e.ppn, e.dirty = lpn, ppn, dirty
-	f.entries[lpn] = e
+	f.byLPN[lpn] = e
+	f.n++
 	f.prob.PushFront(&e.node)
+}
+
+// unlink removes e from its LRU segment and from the index; the caller
+// returns it to the slab.
+func (f *FTL) unlink(e *entry) {
+	if e.protected {
+		f.prot.Remove(&e.node)
+	} else {
+		f.prob.Remove(&e.node)
+	}
+	f.byLPN[e.lpn] = nil
+	f.n--
 }
 
 // evictOne removes the coldest entry (probationary LRU first), writing it
 // back if dirty. The victim is fully unlinked before the writeback so that
 // a GC triggered by the flash write sees a consistent cache.
+//
+//ftl:hotpath
 func (f *FTL) evictOne(env ftl.Env) error {
 	n := f.prob.Back()
 	if n == nil {
@@ -186,12 +249,7 @@ func (f *FTL) evictOne(env ftl.Env) error {
 		return nil
 	}
 	e := n.Value
-	if e.protected {
-		f.prot.Remove(n)
-	} else {
-		f.prob.Remove(n)
-	}
-	delete(f.entries, e.lpn)
+	f.unlink(e)
 	env.NoteReplacement(e.dirty)
 	// Capture the victim and release it before the writeback: WriteTP can
 	// trigger GC, whose map updates only touch entries still in the cache
@@ -211,87 +269,170 @@ func (f *FTL) evictOne(env ftl.Env) error {
 // Discard implements ftl.Translator: a trimmed page's cached entry is
 // dropped without writeback — the mapping it holds is dead, and the device
 // rewrites the translation page itself as part of the discard.
+//
+//ftl:hotpath
 func (f *FTL) Discard(lpn ftl.LPN) {
-	e, ok := f.entries[lpn]
-	if !ok {
+	e := f.at(lpn)
+	if e == nil {
 		return
 	}
-	if e.protected {
-		f.prot.Remove(&e.node)
-	} else {
-		f.prob.Remove(&e.node)
-	}
-	delete(f.entries, lpn)
+	f.unlink(e)
 	f.slab.put(e)
 }
 
-// CheckInvariants audits the cache structure: the map, the two LRU segments
-// and the slab free list must agree. The ftlsan device build calls it after
-// every host operation.
+// CheckInvariants audits the cache structure: the index, the two LRU
+// segments, the entry count and the slab free list must agree. The segments
+// are walked first (each listed entry indexed under its LPN, in the segment
+// its flag names), then the index is swept for the reverse direction (each
+// indexed entry listed, and no more indexed entries than the count). The
+// ftlsan device build calls it after every host operation.
 func (f *FTL) CheckInvariants() error {
-	if f.prob.Len()+f.prot.Len() != len(f.entries) {
-		return fmt.Errorf("dftl: %d listed entries for %d mapped", f.prob.Len()+f.prot.Len(), len(f.entries))
+	if listed := f.prob.Len() + f.prot.Len(); listed != f.n {
+		return fmt.Errorf("dftl: %d listed entries for %d counted", listed, f.n)
 	}
-	//ftl:orderinsensitive read-only invariant check; any violating entry is a valid witness
-	for lpn, e := range f.entries {
-		if e.lpn != lpn {
-			return fmt.Errorf("dftl: entry keyed %d carries lpn %d", lpn, e.lpn)
+	for _, seg := range []struct {
+		list      *lru.List[*entry]
+		protected bool
+	}{{&f.prob, false}, {&f.prot, true}} {
+		for n := seg.list.Front(); n != nil; n = n.Next() {
+			e := n.Value
+			if e.protected != seg.protected {
+				return fmt.Errorf("dftl: entry %d protected=%v on the wrong segment", e.lpn, e.protected)
+			}
+			if f.at(e.lpn) != e {
+				return fmt.Errorf("dftl: listed entry %d not indexed under its lpn", e.lpn)
+			}
+		}
+	}
+	indexed := 0
+	for lpn, e := range f.byLPN {
+		if e == nil {
+			continue
+		}
+		indexed++
+		if e.lpn != ftl.LPN(lpn) {
+			return fmt.Errorf("dftl: entry indexed at %d carries lpn %d", lpn, e.lpn)
 		}
 		if !e.node.InList() {
-			return fmt.Errorf("dftl: mapped entry %d not on any LRU segment", lpn)
+			return fmt.Errorf("dftl: indexed entry %d not on any LRU segment", lpn)
 		}
+	}
+	if indexed != f.n {
+		return fmt.Errorf("dftl: %d indexed entries for %d counted", indexed, f.n)
 	}
 	return f.slab.check()
 }
 
+// each calls fn for every cached entry, protected segment first, each
+// segment MRU to LRU.
+func (f *FTL) each(fn func(e *entry)) {
+	for n := f.prot.Front(); n != nil; n = n.Next() {
+		fn(n.Value)
+	}
+	for n := f.prob.Front(); n != nil; n = n.Next() {
+		fn(n.Value)
+	}
+}
+
 // FlushDirty implements ftl.Translator: a host flush barrier forces every
 // dirty cached entry to its translation page. Entries sharing a translation
-// page are written back in one batched read-modify-write, and pages are
-// visited in ascending VTPN order so the writeback sequence is deterministic.
+// page are written back in one batched read-modify-write, in offset order,
+// and pages are visited in ascending VTPN order so the writeback sequence is
+// deterministic.
 func (f *FTL) FlushDirty(env ftl.Env) error {
 	e := env.EntriesPerTP()
-	pending := map[ftl.VTPN][]ftl.EntryUpdate{}
+	b := &f.flushBatch
+	b.reset()
 	// Entries are marked clean as they are captured, NOT after the writes:
 	// a GC triggered mid-flush refreshes cached entries (hit path) and must
 	// leave them dirty again, or the refreshed mappings would be lost.
-	for lpn, ent := range f.entries {
+	f.each(func(ent *entry) {
 		if !ent.dirty {
-			continue
+			return
 		}
-		v := ftl.VTPNOf(lpn, e)
-		pending[v] = append(pending[v], ftl.EntryUpdate{Off: ftl.OffOf(lpn, e), PPN: ent.ppn})
+		b.add(ftl.VTPNOf(ent.lpn, e), ftl.OffOf(ent.lpn, e), ent.ppn)
 		ent.dirty = false
-	}
-	for _, v := range ftl.SortedVTPNs(pending) {
-		ups := pending[v]
-		ftl.SortUpdates(ups)
-		if err := env.WriteTP(v, ups, false); err != nil {
-			return err
+	})
+	// (page, offset) is unique per entry, so any sort yields the one order.
+	slices.SortFunc(b.pending, func(x, y pendingUpdate) int {
+		if c := cmp.Compare(x.v, y.v); c != 0 {
+			return c
 		}
-	}
-	return nil
+		return cmp.Compare(x.up.Off, y.up.Off)
+	})
+	return b.write(env)
 }
 
 // OnGCDataMoves implements ftl.Translator. Updates for moves whose entries
 // are cached happen in RAM (GC hits); the rest are grouped by translation
 // page and applied in one batch update per page — DFTL's original GC-time
-// batching.
+// batching. Pages are written in ascending VTPN order, each page's updates
+// in move order.
+//
+//ftl:hotpath
 func (f *FTL) OnGCDataMoves(env ftl.Env, moves []ftl.GCMove) error {
 	e := env.EntriesPerTP()
-	pending := map[ftl.VTPN][]ftl.EntryUpdate{}
+	b := &f.gcBatch
+	b.reset()
 	for _, mv := range moves {
-		if ent, ok := f.entries[mv.LPN]; ok {
+		if ent := f.at(mv.LPN); ent != nil {
 			ent.ppn = mv.NewPPN
 			ent.dirty = true
 			env.NoteGCMapUpdate(true)
 			continue
 		}
 		env.NoteGCMapUpdate(false)
-		v := ftl.VTPNOf(mv.LPN, e)
-		pending[v] = append(pending[v], ftl.EntryUpdate{Off: ftl.OffOf(mv.LPN, e), PPN: mv.NewPPN})
+		b.add(ftl.VTPNOf(mv.LPN, e), ftl.OffOf(mv.LPN, e), mv.NewPPN)
 	}
-	for _, v := range ftl.SortedVTPNs(pending) {
-		if err := env.WriteTP(v, pending[v], false); err != nil {
+	// A stable insertion sort by page keeps each page's move order. The
+	// moves of one collection are bounded by the pages of one block, so
+	// quadratic is fine and nothing allocates.
+	p := b.pending
+	for i := 1; i < len(p); i++ {
+		for j := i; j > 0 && p[j].v < p[j-1].v; j-- {
+			p[j], p[j-1] = p[j-1], p[j]
+		}
+	}
+	return b.write(env)
+}
+
+// pendingUpdate is one batched map update bound for translation page v.
+type pendingUpdate struct {
+	v  ftl.VTPN
+	up ftl.EntryUpdate
+}
+
+// pageBatch is a reusable per-page writeback batch: the caller adds
+// updates, sorts pending so each page's updates are contiguous, and write
+// issues one WriteTP per page, gathering its updates into ups. Both slices
+// keep their capacity across calls.
+type pageBatch struct {
+	pending []pendingUpdate
+	ups     []ftl.EntryUpdate
+}
+
+// reset empties the batch, keeping its capacity.
+func (b *pageBatch) reset() { b.pending = b.pending[:0] }
+
+// add queues the update of slot off of translation page v.
+func (b *pageBatch) add(v ftl.VTPN, off int, ppn flash.PPN) {
+	b.pending = append(b.pending, pendingUpdate{v: v, up: ftl.EntryUpdate{Off: off, PPN: ppn}})
+}
+
+// write issues the sorted batch, one translation-page update per run of
+// equal VTPNs.
+//
+//ftl:hotpath
+func (b *pageBatch) write(env ftl.Env) error {
+	p := b.pending
+	for i := 0; i < len(p); {
+		v := p[i].v
+		ups := b.ups[:0]
+		for ; i < len(p) && p[i].v == v; i++ {
+			ups = append(ups, p[i].up)
+		}
+		b.ups = ups
+		if err := env.WriteTP(v, ups, false); err != nil {
 			return err
 		}
 	}
@@ -301,19 +442,18 @@ func (f *FTL) OnGCDataMoves(env ftl.Env, moves []ftl.GCMove) error {
 // Snapshot implements ftl.Inspector.
 func (f *FTL) Snapshot() ftl.CacheSnapshot {
 	s := ftl.CacheSnapshot{DirtyPerPage: map[ftl.VTPN]int{}}
-	for lpn, e := range f.entries {
+	f.each(func(e *entry) {
 		s.Entries++
-		v := ftl.VTPNOf(lpn, f.ePerTP)
-		if _, ok := s.DirtyPerPage[v]; !ok {
-			s.DirtyPerPage[v] = 0
-		}
+		v := ftl.VTPNOf(e.lpn, f.ePerTP)
+		dirty := s.DirtyPerPage[v]
 		if e.dirty {
 			s.DirtyEntries++
-			s.DirtyPerPage[v]++
+			dirty++
 		}
-	}
+		s.DirtyPerPage[v] = dirty
+	})
 	s.TPNodes = len(s.DirtyPerPage)
-	s.UsedBytes = int64(len(f.entries)) * int64(f.cfg.EntryBytes)
+	s.UsedBytes = int64(f.n) * int64(f.cfg.EntryBytes)
 	return s
 }
 
@@ -321,10 +461,10 @@ func (f *FTL) Snapshot() ftl.CacheSnapshot {
 // tests feed it to Device.CheckConsistency.
 func (f *FTL) DirtyCached() map[ftl.LPN]flash.PPN {
 	out := make(map[ftl.LPN]flash.PPN)
-	for lpn, e := range f.entries {
+	f.each(func(e *entry) {
 		if e.dirty {
-			out[lpn] = e.ppn
+			out[e.lpn] = e.ppn
 		}
-	}
+	})
 	return out
 }

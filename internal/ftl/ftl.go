@@ -98,7 +98,8 @@ type Translator interface {
 	// OnGCDataMoves updates the mappings of the valid pages migrated out
 	// of one GC victim data block. Implementations batch updates that
 	// share a translation page into one flash update and must call
-	// env.NoteGCMapUpdate for each move.
+	// env.NoteGCMapUpdate for each move. moves is the device's reusable
+	// scratch: implementations must not modify or retain it.
 	OnGCDataMoves(env Env, moves []GCMove) error
 
 	// Discard drops any cached entry for lpn without writing it back: the
@@ -157,9 +158,11 @@ type Env interface {
 	NumLPNs() int64
 
 	// ReadTP reads translation page v from flash (cost: one page read)
-	// and returns its entries, indexed by offset. The returned slice is
-	// the device's copy: callers must not modify or retain it across
-	// other Env calls.
+	// and returns its entries, indexed by offset: always EntriesPerTP of
+	// them, InvalidPPN past the last LPN. The slice is a read-only view
+	// of the page's flash content, not a copy: a later WriteTP (or a GC
+	// it triggers) changes it. Callers must not modify it, and must read
+	// or copy what they need before their next flash-writing Env call.
 	ReadTP(v VTPN) ([]flash.PPN, error)
 
 	// WriteTP updates translation page v in flash with the given slot

@@ -100,12 +100,14 @@ func (d *Device) maybeWearLevel() error {
 // collect reclaims one victim block: migrate its valid pages, update the
 // affected mappings (via the Translator for data pages, the GTD for
 // translation pages), erase it and return it to the free list.
+//
+//ftl:hotpath
 func (d *Device) collect(blk flash.BlockID) error {
 	kind := d.bm.kinds[blk]
 	ppb := d.cfg.PagesPerBlock
 	validCount := d.chip.ValidCount(blk)
 
-	var moves []GCMove
+	moves := d.moves[:0]
 	for off := 0; off < ppb; off++ {
 		ppn := d.chip.PageAt(blk, off)
 		if d.chip.State(ppn) != flash.PageValid {
@@ -141,6 +143,7 @@ func (d *Device) collect(blk flash.BlockID) error {
 			return errf("GC: page %d has kind %v", ppn, meta.Kind)
 		}
 	}
+	d.moves = moves
 
 	if len(moves) > 0 {
 		// The migrated data pages' mapping entries must be updated; the

@@ -27,16 +27,24 @@ type shadow struct {
 // wordBits is the number of LPNs one pending word covers.
 const wordBits = 64
 
+// newShadow sizes persist's capacity to whole translation pages, so
+// persistedTP can hand out every page, the partial last one included, as a
+// full-length view. The slots past the last LPN stay InvalidPPN: setPersist
+// and fold are bounded by the LPN count and never write them.
 func newShadow(lpns int64, entriesPerTP int) shadow {
+	e := int64(entriesPerTP)
+	pages := make([]flash.PPN, (lpns+e-1)/e*e)
+	for i := range pages {
+		pages[i] = flash.InvalidPPN
+	}
 	s := shadow{
 		truth:        make([]flash.PPN, lpns),
-		persist:      make([]flash.PPN, lpns),
+		persist:      pages[:lpns],
 		pending:      make([]uint64, (lpns+wordBits-1)/wordBits),
 		entriesPerTP: entriesPerTP,
 	}
 	for i := range s.truth {
 		s.truth[i] = flash.InvalidPPN
-		s.persist[i] = flash.InvalidPPN
 	}
 	return s
 }
@@ -75,11 +83,12 @@ func (s *shadow) tpRange(v VTPN) (lo, hi int64) {
 	return lo, min64(lo+int64(s.entriesPerTP), int64(len(s.persist)))
 }
 
-// persistedTP returns the persisted entries of translation page v. The
-// slice aliases the shadow; callers copy it.
+// persistedTP returns the persisted entries of translation page v: always
+// entriesPerTP of them, InvalidPPN past the last LPN. The slice is a view of
+// the shadow, capped so an append cannot reach the next page.
 func (s *shadow) persistedTP(v VTPN) []flash.PPN {
-	lo, hi := s.tpRange(v)
-	return s.persist[lo:hi]
+	lo, hi := int64(v)*int64(s.entriesPerTP), int64(v+1)*int64(s.entriesPerTP)
+	return s.persist[lo:hi:hi]
 }
 
 // fold folds ground truth into the persisted view of translation page v:

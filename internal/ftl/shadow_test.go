@@ -3,6 +3,7 @@ package ftl_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -314,5 +315,129 @@ func runShadowProperty(t *testing.T, cfg ftl.Config, inner ftl.Translator, seed 
 	}
 	if tr.m.folded == 0 {
 		t.Fatal("no fold changed a slot: pending slots never arose")
+	}
+}
+
+// TestReadTPViewPartialLastPage pins the shape of the view ReadTP returns on
+// a geometry whose last translation page is partial (2500 LPNs, 1024 per
+// page): every page, the partial one included, reads back exactly
+// EntriesPerTP entries, capped so an append cannot reach the next page; the
+// in-range slots equal the persisted view and every slot past the last LPN
+// is InvalidPPN. It holds after Format and after writes, trims, flushes and
+// garbage collection have rewritten every page, the last one included.
+func TestReadTPViewPartialLastPage(t *testing.T) {
+	cfg := testConfig()
+	cfg.LogicalBytes = 2500 * int64(cfg.PageSize)
+	d, tr := newDFTLDevice(t, cfg)
+	e, n := d.EntriesPerTP(), d.NumLPNs()
+	if n%int64(e) == 0 {
+		t.Fatalf("%d LPNs fill %d-entry pages exactly; the last page is not partial", n, e)
+	}
+	check := func(when string) {
+		t.Helper()
+		for v := ftl.VTPN(0); int(v) < d.NumTPs(); v++ {
+			vals, err := d.ReadTP(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(vals) != e || cap(vals) != e {
+				t.Fatalf("%s: ReadTP(%d) len %d cap %d, want %d", when, v, len(vals), cap(vals), e)
+			}
+			for off, got := range vals {
+				want := flash.InvalidPPN
+				if lpn := ftl.LPNAt(v, off, e); int64(lpn) < n {
+					want = d.Persisted(lpn)
+				}
+				if got != want {
+					t.Fatalf("%s: ReadTP(%d)[%d] = %d, want %d", when, v, off, got, want)
+				}
+			}
+		}
+	}
+	check("after Format")
+	rng := rand.New(rand.NewSource(5))
+	for i := int64(0); i < 6000; i++ {
+		req := wr(i, rng.Int63n(n))
+		switch rng.Intn(20) {
+		case 0:
+			first := rng.Int63n(n)
+			req = trace.Request{Arrival: i, Offset: first * 4096, Length: min(16, n-first) * 4096, Op: trace.OpTrim}
+		case 1:
+			req = trace.Request{Arrival: i, Op: trace.OpFlush}
+		}
+		if _, err := d.Serve(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := d.Metrics(); m.GCDataCollections == 0 || m.TrimmedPages == 0 {
+		t.Fatalf("sequence too tame: %d data GCs, %d trimmed pages", m.GCDataCollections, m.TrimmedPages)
+	}
+	check("after writes, trims, flushes and GC")
+	if err := d.CheckConsistency(tr.DirtyCached()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// viewCorruptor is a DFTL that breaks the ReadTP contract once armed: on
+// its next Translate it writes a wrong PPN into the view ReadTP returns for
+// target's translation page.
+type viewCorruptor struct {
+	*dftl.FTL
+	target ftl.LPN // -1 when disarmed
+}
+
+func (c *viewCorruptor) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
+	ppn, err := c.FTL.Translate(env, lpn)
+	if err != nil || c.target < 0 {
+		return ppn, err
+	}
+	e := env.EntriesPerTP()
+	vals, err := env.ReadTP(ftl.VTPNOf(c.target, e))
+	if err != nil {
+		return flash.InvalidPPN, err
+	}
+	vals[ftl.OffOf(c.target, e)]++
+	c.target = -1
+	return ppn, nil
+}
+
+// TestReadTPViewWriteCaught shows that the existing consistency check
+// guards the shared view: ReadTP hands out the shadow's persisted content
+// itself, so a translator that writes into it changes what the device
+// believes is on flash, and CheckConsistency (or, under ftlsan, the
+// per-operation check) reports the slot whose persisted entry no longer
+// matches the truth while no dirty cached entry accounts for it.
+func TestReadTPViewWriteCaught(t *testing.T) {
+	cfg := testConfig()
+	tr := &viewCorruptor{FTL: dftl.New(dftl.Config{CacheBytes: cfg.CacheBytes}), target: -1}
+	d, err := ftl.NewDevice(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Format(); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 200; i++ {
+		if _, err := d.Serve(wr(i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.CheckConsistency(tr.DirtyCached()); err != nil {
+		t.Fatalf("consistent before the corruption: %v", err)
+	}
+	const target = 3000
+	if _, dirty := tr.DirtyCached()[target]; dirty {
+		t.Fatalf("lpn %d has a dirty cached entry; pick a clean slot", target)
+	}
+	tr.target = target
+	_, err = d.Serve(rd(200, 10))
+	if err == nil {
+		err = d.CheckConsistency(tr.DirtyCached())
+	}
+	if err == nil {
+		t.Fatal("a write into the ReadTP view went unnoticed")
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("lpn %d:", target)) {
+		t.Fatalf("error %q does not name lpn %d", err, target)
 	}
 }

@@ -459,6 +459,18 @@ func (o Options) validate() error {
 		return fmt.Errorf("sim: negative cache budget %d B", o.CacheBytes)
 	case o.CacheFraction < 0:
 		return fmt.Errorf("sim: negative cache fraction %v", o.CacheFraction)
+	case o.QueueDepth < 0:
+		return fmt.Errorf("sim: negative queue depth %d", o.QueueDepth)
+	case o.Precondition < 0:
+		return fmt.Errorf("sim: negative precondition passes %v", o.Precondition)
+	case o.ResetAfterWarmup < 0:
+		return fmt.Errorf("sim: negative warm-up request count %d", o.ResetAfterWarmup)
+	case o.SampleEvery < 0:
+		return fmt.Errorf("sim: negative sampling interval %d", o.SampleEvery)
+	case o.Clients < 0:
+		return fmt.Errorf("sim: negative client count %d", o.Clients)
+	case o.StreamBatch < 0:
+		return fmt.Errorf("sim: negative stream batch %d", o.StreamBatch)
 	case o.Trace != nil && o.TraceStream != nil:
 		return fmt.Errorf("sim: Trace and TraceStream are mutually exclusive")
 	case o.Shards > 1 && (o.SampleEvery > 0 || o.MetricsOut != nil || o.TraceOut != nil || o.Faults != nil):

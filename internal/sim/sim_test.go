@@ -239,6 +239,12 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{"negative shards", Options{Profile: p, Requests: 100, Shards: -1}, true},
 		{"negative cache fraction", Options{Profile: p, Requests: 100, CacheFraction: -1}, true},
 		{"negative cache bytes", Options{Profile: p, Requests: 100, CacheBytes: -1}, true},
+		{"negative queue depth", Options{Profile: p, Requests: 100, QueueDepth: -1}, true},
+		{"negative precondition", Options{Profile: p, Requests: 100, Precondition: -1}, true},
+		{"negative warm-up", Options{Profile: p, Requests: 100, ResetAfterWarmup: -3}, true},
+		{"negative sampling interval", Options{Profile: p, Requests: 100, SampleEvery: -1}, true},
+		{"negative clients", Options{Profile: p, Requests: 100, Shards: 2, Clients: -1}, true},
+		{"negative stream batch", Options{Profile: p, Requests: 100, StreamBatch: -1}, true},
 		{"trace and stream", Options{Profile: p, Trace: []trace.Request{},
 			TraceStream: trace.NewSliceIterator(nil)}, true},
 		{"sampling on two shards", Options{Profile: p, Requests: 100, Shards: 2, SampleEvery: 10}, true},
